@@ -77,31 +77,11 @@ let deny_hit ~deny report =
 (* Structural analyses (all polynomial, no state space)               *)
 (* ------------------------------------------------------------------ *)
 
-(* Token-flow liveness fixpoint.  A transition is (possibly) live when
-   every input arc is satisfiable: the initial marking already meets
-   the weight, or some live producer can feed the place (tokens then
-   accumulate over repeated firings, so any finite weight is
-   eventually met — a sound over-approximation).  Transitions never
-   reaching liveness are dead in every reachable marking. *)
+(* The token-flow liveness fixpoint lives in [Reduce]; lint reports
+   the transitions it never reaches. *)
 let structurally_dead net =
-  let nt = Pnet.transition_count net in
-  let producers = Pnet.producers net in
-  let live = Array.make nt false in
-  let sat (p, w) =
-    net.Pnet.m0.(p) >= w
-    || Array.exists (fun t -> live.(t)) producers.(p)
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for t = 0 to nt - 1 do
-      if (not live.(t)) && Array.for_all sat (Pnet.pre_arcs net t) then begin
-        live.(t) <- true;
-        changed := true
-      end
-    done
-  done;
-  List.filter (fun t -> not live.(t)) (List.init nt Fun.id)
+  let live = Reduce.live_transitions net in
+  List.filter (fun t -> not live.(t)) (List.init (Array.length live) Fun.id)
 
 (* Maximal siphon among the initially-unmarked places: drop any place
    with a producer whose preset is disjoint from the candidate set

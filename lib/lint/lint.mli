@@ -110,10 +110,11 @@ val explain_por : Ezrt_blocks.Translate.t -> gate
     reasons; agrees with [Indep.applicable]. *)
 
 val structurally_dead : Pnet.t -> Pnet.transition_id list
-(** Transitions that can never fire, by the token-flow fixpoint: an
-    input place is unsatisfiable when the initial marking falls short
-    of the arc weight and no live transition produces into it.  Sound:
-    a listed transition is dead in every reachable marking. *)
+(** Transitions that can never fire, ascending: those
+    {!Ezrt_tpn.Reduce.live_transitions} maps to [false] (an input arc
+    whose weight the initial marking falls short of, fed by no live
+    transition).  Sound: a listed transition is dead in every reachable
+    marking. *)
 
 val unmarked_siphon : Pnet.t -> Pnet.place_id list
 (** The maximal siphon among initially-unmarked places.  Such places

@@ -1,6 +1,7 @@
 (** Mutex-guarded work-stealing deque.
 
-    A ring buffer with a coarse lock, shared by the parallel engines:
+    A ring buffer with a coarse lock, the per-worker frontier of the
+    {!Work_steal} driver:
     the owner pushes and pops at the top (plain LIFO, so a lone worker
     explores exactly the sequential order) while thieves take from the
     bottom — the shallowest nodes, whose subtrees are the largest and

@@ -1,19 +1,15 @@
-(* Work-stealing parallel DFS over the state-class graph.
+(* Work-stealing parallel DFS over the state-class graph, an instance
+   of [Work_steal].
 
-   Structurally a simplification of Par_search: classes are immutable
-   values ([State_class.fire] is pure), so there is no incremental
-   engine to reposition — a node carries its class and the reversed
-   transition path that produced it, and moving between nodes is free.
-   What is shared is the Class_store: a node claims its canonical
-   class at first visit (Fresh) before expanding; Duplicate and
-   Subsumed answers mean some worker already owns an equal or
-   containing domain under the same marking, so the subtree is pruned
-   globally on the same soundness argument as the sequential engine
-   (see Class_search and DESIGN.md).
-
-   Termination mirrors Par_search: [pending] counts nodes pushed but
-   not yet expanded; a worker finding its deque empty steals, and when
-   [pending] hits 0 the explored choice space is exhausted. *)
+   Classes are immutable values ([State_class.fire] is pure), so there
+   is no incremental engine to reposition — a node carries its class
+   and the reversed transition path that produced it, and moving
+   between nodes is free.  What is shared is the Class_store: a node
+   claims its canonical class at first visit (Fresh) before expanding;
+   Duplicate and Subsumed answers mean some worker already owns an
+   equal or containing domain under the same marking, so the subtree is
+   pruned globally on the same soundness argument as the sequential
+   engine (see Class_search and DESIGN.md). *)
 
 open Ezrt_tpn
 module Translate = Ezrt_blocks.Translate
@@ -27,293 +23,112 @@ type t = {
 }
 
 type node = {
-  path_rev : Pnet.transition_id list;
-  cls : State_class.t;
+  mutable path_rev : Pnet.transition_id list;
+  mutable cls : State_class.t;
+      (* both advanced in place along the eager chain at first visit,
+         before any child is published *)
   depth : int;
 }
-
-type worker_stats = {
-  mutable w_stored : int;
-  mutable w_visited : int;
-  mutable w_eager : int;
-  mutable w_backtracks : int;
-  mutable w_max_depth : int;
-  mutable w_steals : int;
-  mutable w_por_reduced : int;
-  mutable w_por_fallback : int;
-  mutable w_por_skipped : int;
-}
-
-let zero_stats () =
-  { w_stored = 0; w_visited = 0; w_eager = 0; w_backtracks = 0;
-    w_max_depth = 0; w_steals = 0; w_por_reduced = 0; w_por_fallback = 0;
-    w_por_skipped = 0 }
-
-let default_domains () = max 2 (Domain.recommended_domain_count () - 1)
 
 let find_schedule ?(max_stored = 500_000) ?(subsume = true) ?(por = true)
     ?domains ?(cancel = fun () -> false) model =
   let started = Unix.gettimeofday () in
   let net = model.Translate.net in
-  let n_workers =
-    match domains with Some d -> max 1 d | None -> default_domains ()
-  in
   let subsume = subsume && Class_search.subsumption_applicable model in
   (* the stubborn-set context is immutable after creation — shared
      read-only across worker domains like the net itself *)
   let ind = Search.por_context { Search.default_options with por } model in
-  Ezrt_obs.Trace.begin_span ~cat:"search"
-    ~args:
-      [
-        ("engine", Ezrt_obs.Trace.Str "classes-parallel");
-        ("domains", Ezrt_obs.Trace.Int n_workers);
-        ("subsume", Ezrt_obs.Trace.Str (string_of_bool subsume));
-      ]
-    "search";
   let store = Class_store.create ~subsume () in
   let root = { path_rev = []; cls = State_class.initial net; depth = 0 } in
-  (* the dummy fills vacated deque slots; never expanded *)
-  let deques = Array.init n_workers (fun _ -> Deque.create root) in
-  let all_stats = Array.init n_workers (fun _ -> zero_stats ()) in
-  let stop = Atomic.make false in
-  let budget_hit = Atomic.make false in
-  let cancelled = Atomic.make false in
-  let pending = Atomic.make 1 in
-  let stored_total = Atomic.make 0 in
-  let result : Pnet.transition_id list option Atomic.t = Atomic.make None in
-  Deque.push_top deques.(0) root;
-  let helpers = ref [||] in
-  let helpers_spawned = ref (n_workers <= 1) in
-  let spawn_helpers = ref (fun () -> ()) in
-  let worker_body id =
-    let w = all_stats.(id) in
-    let deque = deques.(id) in
-    Ezrt_obs.Trace.begin_span ~cat:"search"
-      ~args:[ ("worker", Ezrt_obs.Trace.Int id) ]
-      "class-worker";
-    let progress =
-      let snapshot () =
-        let dt = Unix.gettimeofday () -. started in
-        let stored = Atomic.get stored_total in
-        Printf.sprintf "search[classes x%d]: %d stored, %.0f classes/s"
-          n_workers stored
-          (float_of_int stored /. max 1e-9 dt)
-      in
-      fun () -> if id = 0 then Ezrt_obs.Progress.tick snapshot
-    in
+  let make_worker _id (w : Work_steal.stats) =
     (* forced singleton chains collapse without publishing a node,
        exactly as in the sequential engine *)
-    let rec eager_advance path_rev c =
-      if Class_search.is_final model c || Class_search.is_dead model c then
-        (path_rev, c)
-      else
+    let rec eager_advance node =
+      let c = node.cls in
+      if not (Class_search.is_final model c || Class_search.is_dead model c)
+      then
         match State_class.firable net c with
         | [ tid ] ->
-          w.w_eager <- w.w_eager + 1;
-          w.w_visited <- w.w_visited + 1;
-          eager_advance (tid :: path_rev) (State_class.fire net c tid)
-        | [] | _ :: _ -> (path_rev, c)
+          w.eager <- w.eager + 1;
+          node.path_rev <- tid :: node.path_rev;
+          node.cls <- State_class.fire net c tid;
+          eager_advance node
+        | [] | _ :: _ -> ()
     in
-    (* Expands [node]; returns the first child to expand next, kept in
-       hand so the DFS spine never round-trips through the deque. *)
-    let expand node =
-      let path_rev, c = eager_advance node.path_rev node.cls in
-      if node.depth > w.w_max_depth then w.w_max_depth <- node.depth;
-      let next =
-        if Class_search.is_final model c then begin
-          ignore (Atomic.compare_and_set result None (Some path_rev));
-          Atomic.set stop true;
-          None
-        end
-        else if Class_search.is_dead model c then begin
-          w.w_backtracks <- w.w_backtracks + 1;
-          None
-        end
-        else begin
-          match Class_store.visit store c with
-          | Class_store.Duplicate | Class_store.Subsumed -> None
-          | Class_store.Fresh ->
-            if Atomic.fetch_and_add stored_total 1 >= max_stored then begin
-              Atomic.set budget_hit true;
-              Atomic.set stop true;
-              None
-            end
-            else begin
-              w.w_stored <- w.w_stored + 1;
-              w.w_visited <- w.w_visited + 1;
-              progress ();
-              let firable, por_out =
-                Class_search.apply_por ~ind net c (State_class.firable net c)
-              in
-              (match por_out with
-              | Search.Por_reduced -> w.w_por_reduced <- w.w_por_reduced + 1
-              | Search.Por_fallback -> w.w_por_fallback <- w.w_por_fallback + 1
-              | Search.Por_skipped ->
-                if por then w.w_por_skipped <- w.w_por_skipped + 1);
-              let candidates = Class_search.order_candidates net c firable in
-              (* first candidate kept in hand; the rest accumulate in
-                 reverse, which is push order: the deque top ends up
-                 holding the second candidate, preserving sequential
-                 order for a lone worker *)
-              let first = ref None in
-              let rev_rest = ref [] in
-              let count = ref 0 in
-              List.iter
-                (fun tid ->
-                  let child =
-                    {
-                      path_rev = tid :: path_rev;
-                      cls = State_class.fire net c tid;
-                      depth = node.depth + 1;
-                    }
-                  in
-                  incr count;
-                  match !first with
-                  | None -> first := Some child
-                  | Some _ -> rev_rest := child :: !rev_rest)
-                candidates;
-              match !first with
-              | None ->
-                w.w_backtracks <- w.w_backtracks + 1;
-                None
-              | Some _ as f ->
-                ignore (Atomic.fetch_and_add pending !count);
-                if !rev_rest <> [] then Deque.push_list deque !rev_rest;
-                f
-            end
-        end
+    let visit node =
+      eager_advance node;
+      if Class_search.is_final model node.cls then Work_steal.Goal
+      else if Class_search.is_dead model node.cls then Work_steal.Dead_end
+      else
+        match Class_store.visit store node.cls with
+        | Class_store.Fresh -> Work_steal.Fresh
+        | Class_store.Duplicate | Class_store.Subsumed -> Work_steal.Claim_lost
+    in
+    let children node =
+      let c = node.cls in
+      let firable, por_out =
+        Class_search.apply_por ~ind net c (State_class.firable net c)
       in
-      Atomic.decr pending;
-      next
+      Work_steal.count_por w ~por por_out;
+      let child tid =
+        {
+          path_rev = tid :: node.path_rev;
+          cls = State_class.fire net c tid;
+          depth = node.depth + 1;
+        }
+      in
+      match Class_search.order_candidates net c firable with
+      | [] -> Work_steal.Leaf
+      | first :: rest ->
+        (* the first candidate is kept in hand; the rest are pushed in
+           reverse, so the deque top holds the second candidate,
+           preserving sequential order for a lone worker *)
+        let first = child first in
+        Work_steal.Children
+          (first, List.fold_left (fun acc tid -> child tid :: acc) [] rest)
     in
-    let opportunistic = id >= Domain.recommended_domain_count () in
-    let burst = ref 8 in
-    let try_steal () =
-      let got = ref false in
-      let k = ref 1 in
-      let limit = if opportunistic then Some !burst else None in
-      while (not !got) && !k < n_workers do
-        let victim = (id + !k) mod n_workers in
-        (match Deque.steal_half ?limit deques.(victim) with
-        | [] -> ()
-        | items ->
-          got := true;
-          w.w_steals <- w.w_steals + 1;
-          List.iter (fun it -> Deque.push_top deque it) items);
-        incr k
-      done;
-      !got
-    in
-    let in_hand = ref None in
-    let idle = ref 0 in
-    let running = ref true in
-    while !running do
-      if Atomic.get stop then running := false
-      else begin
-        if id = 0 && cancel () then begin
-          Atomic.set cancelled true;
-          Atomic.set stop true
-        end;
-        let next =
-          match !in_hand with
-          | Some _ as n ->
-            in_hand := None;
-            n
-          | None -> Deque.pop_top deque
-        in
-        match next with
-        | Some node ->
-          idle := 0;
-          in_hand := expand node;
-          if id = 0 && not !helpers_spawned then !spawn_helpers ();
-          if opportunistic then begin
-            decr burst;
-            if !burst <= 0 then begin
-              (match !in_hand with
-              | Some n ->
-                Deque.push_top deque n;
-                in_hand := None
-              | None -> ());
-              running := false
-            end
-          end
-        | None ->
-          if n_workers > 1 && try_steal () then idle := 0
-          else if Atomic.get pending = 0 then running := false
-          else begin
-            incr idle;
-            if !idle < 2 then Domain.cpu_relax () else Unix.sleepf 0.0002;
-            if opportunistic && !idle > 8 then running := false
-          end
-      end
-    done;
-    Ezrt_obs.Trace.end_span ~cat:"search"
-      ~args:
-        [
-          ("worker", Ezrt_obs.Trace.Int id);
-          ("stored", Ezrt_obs.Trace.Int w.w_stored);
-          ("steals", Ezrt_obs.Trace.Int w.w_steals);
-        ]
-      "class-worker"
+    { Work_steal.visit; children }
   in
-  (spawn_helpers :=
-     fun () ->
-       if Deque.length deques.(0) >= n_workers - 1 then begin
-         helpers_spawned := true;
-         helpers :=
-           Array.init (n_workers - 1) (fun i ->
-               Domain.spawn (fun () -> worker_body (i + 1)))
-       end);
-  worker_body 0;
-  Array.iter Domain.join !helpers;
-  let elapsed_s = Unix.gettimeofday () -. started in
-  let sum f = Array.fold_left (fun acc w -> acc + f w) 0 all_stats in
+  let r =
+    Work_steal.run ?domains ~engine:"classes-parallel"
+      ~span_args:[ ("subsume", Ezrt_obs.Trace.Str (string_of_bool subsume)) ]
+      ~worker_span:"class-worker" ~cancel ~max_stored
+      ~depth:(fun n -> n.depth) ~root make_worker
+  in
+  let s = r.Work_steal.stats in
   let store_stats = Class_store.stats store in
   let metrics =
     {
-      Class_search.stored = sum (fun w -> w.w_stored);
-      visited = sum (fun w -> w.w_visited);
-      eager = sum (fun w -> w.w_eager);
-      backtracks = sum (fun w -> w.w_backtracks);
+      Class_search.stored = s.stored;
+      visited = s.stored + s.eager;
+      eager = s.eager;
+      backtracks = s.backtracks;
       subsumed = store_stats.Class_store.subsumed;
-      max_depth =
-        Array.fold_left (fun acc w -> max acc w.w_max_depth) 0 all_stats;
-      elapsed_s;
-      por_reduced = sum (fun w -> w.w_por_reduced);
-      por_fallback = sum (fun w -> w.w_por_fallback);
-      por_skipped = sum (fun w -> w.w_por_skipped);
+      max_depth = s.max_depth;
+      elapsed_s = Unix.gettimeofday () -. started;
+      por_reduced = s.por_reduced;
+      por_fallback = s.por_fallback;
+      por_skipped = s.por_skipped;
     }
   in
-  let domains_used =
-    Array.fold_left
-      (fun acc w -> if w.w_visited > 0 || w.w_steals > 0 then acc + 1 else acc)
-      0 all_stats
-  in
-  let steals = sum (fun w -> w.w_steals) in
   let outcome =
-    match Atomic.get result with
-    | Some path_rev -> (
-      match Class_search.extract net (List.rev path_rev) with
+    match r.Work_steal.outcome with
+    | Work_steal.Found node -> (
+      match Class_search.extract net (List.rev node.path_rev) with
       | Some schedule -> Ok schedule
       | None -> Error Class_search.Extraction_failed)
-    | None ->
-      if Atomic.get cancelled || Atomic.get budget_hit then
-        Error Class_search.Budget_exhausted
-      else Error Class_search.Infeasible
+    | Work_steal.Stopped -> Error Class_search.Budget_exhausted
+    | Work_steal.Exhausted -> Error Class_search.Infeasible
   in
-  Ezrt_obs.Trace.end_span ~cat:"search"
-    ~args:
-      [
-        ("stored", Ezrt_obs.Trace.Int metrics.Class_search.stored);
-        ("steals", Ezrt_obs.Trace.Int steals);
-        ("domains_used", Ezrt_obs.Trace.Int domains_used);
-      ]
-    "search";
   Class_search.flush_class_metrics ~engine:"classes-parallel" metrics
     store_stats;
-  Ezrt_obs.Metrics.add
-    (Ezrt_obs.Metrics.counter ~help:"Work-stealing operations"
-       ~labels:[ ("engine", "classes-parallel") ]
-       "ezrt_par_steals_total")
-    steals;
-  { outcome; metrics; domains_used; steals; store = store_stats }
+  Work_steal.flush_metrics ~engine:"classes-parallel"
+    ~table_entries:store_stats.Class_store.entries
+    ~table_contended:store_stats.Class_store.contended r;
+  {
+    outcome;
+    metrics;
+    domains_used = r.Work_steal.domains_used;
+    steals = s.steals;
+    store = store_stats;
+  }

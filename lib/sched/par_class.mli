@@ -1,6 +1,7 @@
 (** Work-stealing parallel search over the dense-time class graph.
 
-    The class-graph analogue of {!Par_search}: N domains expand
+    The class-graph instance of the {!Work_steal} driver, like
+    {!Par_search}: N domains expand
     disjoint subtrees of the same class graph, each worker owning a
     {!Deque} of unexpanded classes (LIFO for the owner, so a lone
     worker explores exactly {!Class_search.find_schedule}'s order;
@@ -18,7 +19,8 @@
 type t = {
   outcome : (Schedule.t, Class_search.failure) result;
   metrics : Class_search.metrics;
-  domains_used : int;  (** workers that expanded or stole at least once *)
+  domains_used : int;
+      (** workers that expanded, lost a claim or stole at least once *)
   steals : int;
   store : Ezrt_tpn.Class_store.stats;
 }

@@ -1,11 +1,5 @@
-(* Work-stealing parallel DFS over a single search problem.
-
-   N domains expand disjoint subtrees of the same TLTS from a shared
-   frontier.  Each worker owns a deque of unexpanded nodes: it pushes
-   and pops at the top (plain LIFO, so a lone worker explores exactly
-   the sequential incremental engine's order) while idle workers steal
-   half a victim's deque from the bottom — the shallowest nodes, whose
-   subtrees are the largest and amortize the steal.
+(* Work-stealing parallel DFS over the discrete TLTS, an instance of
+   [Work_steal].
 
    A node is an action list (the branching firing plus the eager
    immediate chain discovered at first expansion) and a parent
@@ -20,13 +14,7 @@
    [false] means some worker already owns that state — skip).  Claiming
    at first visit rather than memoizing at exhaustion keeps each
    distinct state expanded at most once globally, which is what turns
-   extra domains into speedup instead of duplicated work.
-
-   Soundness: every pushed node is eventually expanded or the search
-   stops early (goal / budget / cancel), and a state's first claimant
-   explores the full choice space below it, so a reachable final
-   marking is always found and exhaustion (pending counter hitting 0)
-   really is infeasibility of the explored choice space.  The
+   extra domains into speedup instead of duplicated work.  The
    feasibility verdict is deterministic; the specific schedule may
    differ from the sequential engines' because subtree completion
    order depends on the race — the differ and tests encode exactly
@@ -45,51 +33,17 @@ type t = {
   table : Packed_state.Sharded.stats;
 }
 
-(* --- search-tree nodes --------------------------------------------- *)
-
 type node = {
   mutable actions : (Pnet.transition_id * int) list;
       (* firings from the parent's state to this node's state; the
          branch action, extended in place with the eager chain at
          first expansion (before any child is published) *)
-  parent : node;  (* the root points at itself *)
-  depth : int;  (* tree depth, root = 0 *)
+  parent : node;  (* [origin] points at itself *)
+  depth : int;  (* tree depth, origin = 0 *)
   mutable edepth : int;  (* engine depth at this node's state *)
 }
 
-(* [origin] is every worker's initial position — engine at depth 0,
-   never pushed, never mutated.  The search root proper is a child of
-   it, so its eager extension (mutating [actions]/[edepth] at first
-   expansion) never invalidates another worker's position invariant
-   [cur.edepth = engine depth]. *)
-let make_origin () =
-  let rec origin = { actions = []; parent = origin; depth = 0; edepth = 0 } in
-  origin
-
-(* --- per-worker deques: the shared [Deque] ring buffer ------------- *)
-
-(* --- per-worker state ---------------------------------------------- *)
-
-type worker_stats = {
-  mutable w_stored : int;
-  mutable w_visited : int;
-  mutable w_eager : int;
-  mutable w_backtracks : int;  (* expansions that published no child *)
-  mutable w_max_depth : int;
-  mutable w_steals : int;
-  mutable w_shared_hits : int;
-  mutable w_replayed : int;  (* firings replayed while repositioning *)
-  mutable w_por_reduced : int;
-  mutable w_por_fallback : int;
-  mutable w_por_skipped : int;
-}
-
-let zero_stats () =
-  { w_stored = 0; w_visited = 0; w_eager = 0; w_backtracks = 0;
-    w_max_depth = 0; w_steals = 0; w_shared_hits = 0; w_replayed = 0;
-    w_por_reduced = 0; w_por_fallback = 0; w_por_skipped = 0 }
-
-let default_domains () = max 2 (Domain.recommended_domain_count () - 1)
+let default_domains = Work_steal.default_domains
 
 let find_schedule ?(options = Search.default_options) ?domains
     ?(cancel = Search.no_cancel) model =
@@ -98,15 +52,6 @@ let find_schedule ?(options = Search.default_options) ?domains
   (* one immutable reduction context, shared read-only by all domains;
      each worker applies it per-node against its own engine *)
   let ind = Search.por_context options model in
-  let n_workers = match domains with Some d -> max 1 d | None -> default_domains () in
-  Ezrt_obs.Trace.begin_span ~cat:"search"
-    ~args:
-      [
-        ("engine", Ezrt_obs.Trace.Str "discrete-parallel");
-        ("policy", Ezrt_obs.Trace.Str (Priority.to_string options.Search.policy));
-        ("domains", Ezrt_obs.Trace.Int n_workers);
-      ]
-    "search";
   (* Modest initial sizing — stripes grow geometrically, so this only
      tunes when rehashing starts, and pre-sizing for [max_stored]
      would zero megabytes per search. *)
@@ -115,32 +60,16 @@ let find_schedule ?(options = Search.default_options) ?domains
       ~expected:(max 1024 (min options.Search.max_stored 0x10000))
       ()
   in
-  let origin = make_origin () in
+  (* [origin] is every worker's initial position — engine at depth 0,
+     never expanded, never mutated.  The search root proper is a child
+     of it, so its eager extension (mutating [actions]/[edepth] at
+     first expansion) never invalidates another worker's position
+     invariant [cur.edepth = engine depth]. *)
+  let rec origin = { actions = []; parent = origin; depth = 0; edepth = 0 } in
   let root = { actions = []; parent = origin; depth = 1; edepth = 0 } in
-  let deques = Array.init n_workers (fun _ -> Deque.create origin) in
-  let all_stats = Array.init n_workers (fun _ -> zero_stats ()) in
-  let stop = Atomic.make false in
-  let budget_hit = Atomic.make false in
-  let cancelled = Atomic.make false in
-  let pending = Atomic.make 1 (* the root *) in
-  let stored_total = Atomic.make 0 in
-  let result : node option Atomic.t = Atomic.make None in
-  Deque.push_top deques.(0) root;
-  (* Helpers are spawned lazily by worker 0, once its deque actually
-     holds stealable work: a helper born earlier would only spin or
-     sleep waiting for the frontier to fill, and on few cores that
-     waiting taxes the very worker producing the work. *)
-  let helpers = ref [||] in
-  let helpers_spawned = ref (n_workers <= 1) in
-  let spawn_helpers = ref (fun () -> ()) in
-  let worker_body id =
+  let make_worker _id (w : Work_steal.stats) =
     let eng = State.Incremental.create net in
     let view = Priority.view_of_engine eng in
-    let w = all_stats.(id) in
-    let deque = deques.(id) in
-    Ezrt_obs.Trace.begin_span ~cat:"search"
-      ~args:[ ("worker", Ezrt_obs.Trace.Int id) ]
-      "par-worker";
     let is_final () =
       State.Incremental.tokens eng model.Translate.final_place >= 1
     in
@@ -172,7 +101,7 @@ let find_schedule ?(options = Search.default_options) ?domains
             List.iter
               (fun (tid, q) ->
                 State.Incremental.fire eng tid q;
-                if n != target then w.w_replayed <- w.w_replayed + 1)
+                if n != target then w.replayed <- w.replayed + 1)
               n.actions)
           chain
       end;
@@ -181,305 +110,125 @@ let find_schedule ?(options = Search.default_options) ?domains
     (* Collapse chains of forced immediate firings, extending the
        node's action list in place; published to other workers only
        via the deque mutexes, after this returns. *)
+    let rec eager_chain acc =
+      if options.Search.partial_order && not (is_final () || is_dead ()) then
+        match State.Incremental.fireable eng with
+        | [ tid ] when Search.is_immediate net tid ->
+          w.eager <- w.eager + 1;
+          State.Incremental.fire eng tid 0;
+          eager_chain ((tid, 0) :: acc)
+        | [] | _ :: _ -> acc
+      else acc
+    in
     let eager_extend node =
-      let extra = ref [] in
-      let continue = ref true in
-      while !continue do
-        if
-          options.Search.partial_order
-          && (not (is_final ()))
-          && not (is_dead ())
-        then
-          match State.Incremental.fireable eng with
-          | [ tid ] when Search.is_immediate net tid ->
-            w.w_eager <- w.w_eager + 1;
-            w.w_visited <- w.w_visited + 1;
-            State.Incremental.fire eng tid 0;
-            extra := (tid, 0) :: !extra
-          | [] | _ :: _ -> continue := false
-        else continue := false
-      done;
-      if !extra <> [] then node.actions <- node.actions @ List.rev !extra;
+      (match eager_chain [] with
+      | [] -> ()
+      | extra -> node.actions <- node.actions @ List.rev extra);
       node.edepth <- State.Incremental.depth eng
     in
-    let progress =
-      let t0 = Unix.gettimeofday () in
-      let snapshot () =
-        let dt = Unix.gettimeofday () -. t0 in
-        let stored = Atomic.get stored_total in
-        Printf.sprintf "search[parallel x%d]: %d stored, %.0f states/s"
-          n_workers stored
-          (float_of_int stored /. max 1e-9 dt)
-      in
-      fun () -> if id = 0 then Ezrt_obs.Progress.tick snapshot
-    in
-    (* Expands [node]; returns the first child to expand next, kept "in
-       hand" so the DFS spine never round-trips through the deque —
-       only siblings are published for stealing. *)
-    let expand node =
+    let visit node =
       move_to node;
       eager_extend node;
-      if node.depth > w.w_max_depth then w.w_max_depth <- node.depth;
-      let next =
-        if is_final () then begin
-          if Atomic.compare_and_set result None (Some node) then ();
-          Atomic.set stop true;
-          None
-        end
-        else if is_dead () then begin
-          w.w_backtracks <- w.w_backtracks + 1;
-          None
-        end
-        else begin
-          let key = Packed_state.of_engine eng in
-          if not (Packed_state.Sharded.add visited key) then begin
-            w.w_shared_hits <- w.w_shared_hits + 1;
-            None
-          end
-          else if
-            Atomic.fetch_and_add stored_total 1 >= options.Search.max_stored
-          then begin
-            Atomic.set budget_hit true;
-            Atomic.set stop true;
-            None
-          end
-          else begin
-            w.w_stored <- w.w_stored + 1;
-            w.w_visited <- w.w_visited + 1;
-            progress ();
-            let fireable, por_outcome =
-              Search.apply_por ~ind
-                ~urgent:(fun () ->
-                  State.Incremental.min_dub eng = Time_interval.Finite 0)
-                ~enabled:(State.Incremental.is_enabled eng)
-                ~dub_zero:(fun t ->
-                  State.Incremental.dub eng t = Time_interval.Finite 0)
-                ~tokens:(State.Incremental.tokens eng)
-                (State.Incremental.fireable eng)
-            in
-            (match por_outcome with
-            | Search.Por_reduced -> w.w_por_reduced <- w.w_por_reduced + 1
-            | Search.Por_fallback -> w.w_por_fallback <- w.w_por_fallback + 1
-            | Search.Por_skipped ->
-              if options.Search.por then
-                w.w_por_skipped <- w.w_por_skipped + 1);
-            let ordered =
-              Priority.order_view options.Search.policy model view fireable
-            in
-            (* Children are built in one pass with no intermediate
-               lists — the node machinery competes with the sequential
-               engine on allocation, and minor collections are what the
-               race is decided by.  The engine is not mutated while
-               publishing, so firing domains can be read inline.  The
-               first candidate is kept in hand; the rest accumulate in
-               reverse, which is exactly push order: the deque top ends
-               up holding the second candidate, preserving sequential
-               order for a lone worker. *)
-            let first = ref None in
-            let rev_rest = ref [] in
-            let count = ref 0 in
-            List.iter
-              (fun tid ->
-                let domain = State.Incremental.firing_domain eng tid in
-                List.iter
-                  (fun q ->
-                    let child =
-                      {
-                        actions = [ (tid, q) ];
-                        parent = node;
-                        depth = node.depth + 1;
-                        edepth = node.edepth + 1;
-                      }
-                    in
-                    incr count;
-                    match !first with
-                    | None -> first := Some child
-                    | Some _ -> rev_rest := child :: !rev_rest)
-                  (Search.firing_times options model tid domain))
-              ordered;
-            match !first with
-            | None ->
-              w.w_backtracks <- w.w_backtracks + 1;
-              None
-            | Some _ as f ->
-              ignore (Atomic.fetch_and_add pending !count);
-              if !rev_rest <> [] then Deque.push_list deque !rev_rest;
-              f
-          end
-        end
+      if is_final () then Work_steal.Goal
+      else if is_dead () then Work_steal.Dead_end
+      else if Packed_state.Sharded.add visited (Packed_state.of_engine eng)
+      then Work_steal.Fresh
+      else Work_steal.Claim_lost
+    in
+    let children node =
+      let fireable, por_outcome =
+        Search.apply_por ~ind
+          ~urgent:(fun () ->
+            State.Incremental.min_dub eng = Time_interval.Finite 0)
+          ~enabled:(State.Incremental.is_enabled eng)
+          ~dub_zero:(fun t ->
+            State.Incremental.dub eng t = Time_interval.Finite 0)
+          ~tokens:(State.Incremental.tokens eng)
+          (State.Incremental.fireable eng)
       in
-      Atomic.decr pending;
-      next
+      Work_steal.count_por w ~por:options.Search.por por_outcome;
+      let ordered =
+        Priority.order_view options.Search.policy model view fireable
+      in
+      (* Children are built in one pass with no intermediate lists —
+         the node machinery competes with the sequential engine on
+         allocation, and minor collections are what the race is decided
+         by.  The engine is not mutated while publishing, so firing
+         domains can be read inline.  The first candidate is kept in
+         hand; the rest accumulate in reverse, which is exactly push
+         order: the deque top ends up holding the second candidate,
+         preserving sequential order for a lone worker. *)
+      let first = ref None in
+      let rev_rest = ref [] in
+      List.iter
+        (fun tid ->
+          let domain = State.Incremental.firing_domain eng tid in
+          List.iter
+            (fun q ->
+              let child =
+                {
+                  actions = [ (tid, q) ];
+                  parent = node;
+                  depth = node.depth + 1;
+                  edepth = node.edepth + 1;
+                }
+              in
+              match !first with
+              | None -> first := Some child
+              | Some _ -> rev_rest := child :: !rev_rest)
+            (Search.firing_times options model tid domain))
+        ordered;
+      match !first with
+      | None -> Work_steal.Leaf
+      | Some f -> Work_steal.Children (f, !rev_rest)
     in
-    (* Workers beyond the hardware's recommended domain count are
-       opportunistic: a long-lived extra domain slows the whole
-       process on a saturated host (every stop-the-world minor
-       collection synchronizes with it), so they steal only what they
-       will expand, contribute that bounded burst of claims to the
-       shared table, and exit — any leftovers are stolen back by the
-       survivors.  At or below the recommended count workers run for
-       the whole search. *)
-    let opportunistic = id >= Domain.recommended_domain_count () in
-    let burst = ref 8 in
-    let try_steal () =
-      let got = ref false in
-      let k = ref 1 in
-      let limit = if opportunistic then Some !burst else None in
-      while (not !got) && !k < n_workers do
-        let victim = (id + !k) mod n_workers in
-        (match Deque.steal_half ?limit deques.(victim) with
-        | [] -> ()
-        | items ->
-          got := true;
-          w.w_steals <- w.w_steals + 1;
-          List.iter (fun it -> Deque.push_top deque it) items);
-        incr k
-      done;
-      !got
-    in
-    let in_hand = ref None in
-    let idle = ref 0 in
-    let running = ref true in
-    while !running do
-      if Atomic.get stop then running := false
-      else begin
-        if id = 0 && cancel () then begin
-          Atomic.set cancelled true;
-          Atomic.set stop true
-        end;
-        let next =
-          match !in_hand with
-          | Some _ as n ->
-            in_hand := None;
-            n
-          | None -> Deque.pop_top deque
-        in
-        match next with
-        | Some node ->
-          idle := 0;
-          in_hand := expand node;
-          if id = 0 && not !helpers_spawned then !spawn_helpers ();
-          if opportunistic then begin
-            decr burst;
-            if !burst <= 0 then begin
-              (* hand the unfinished spine back for the survivors *)
-              (match !in_hand with
-              | Some n ->
-                Deque.push_top deque n;
-                in_hand := None
-              | None -> ());
-              running := false
-            end
-          end
-        | None ->
-          if n_workers > 1 && try_steal () then idle := 0
-          else if Atomic.get pending = 0 then running := false
-          else begin
-            incr idle;
-            (* back off instead of spinning: on few cores the worker
-               holding the work needs the cycles, and a sleeping domain
-               also cooperates with stop-the-world collections *)
-            if !idle < 2 then Domain.cpu_relax () else Unix.sleepf 0.0002;
-            if opportunistic && !idle > 8 then running := false
-          end
-      end
-    done;
-    Ezrt_obs.Trace.end_span ~cat:"search"
-      ~args:
-        [
-          ("worker", Ezrt_obs.Trace.Int id);
-          ("stored", Ezrt_obs.Trace.Int w.w_stored);
-          ("steals", Ezrt_obs.Trace.Int w.w_steals);
-          ("shared_hits", Ezrt_obs.Trace.Int w.w_shared_hits);
-        ]
-      "par-worker"
+    { Work_steal.visit; children }
   in
-  (spawn_helpers :=
-     fun () ->
-       if Deque.length deques.(0) >= n_workers - 1 then begin
-         helpers_spawned := true;
-         helpers :=
-           Array.init (n_workers - 1) (fun i ->
-               Domain.spawn (fun () -> worker_body (i + 1)))
-       end);
-  worker_body 0;
-  Array.iter Domain.join !helpers;
-  let elapsed_s = Unix.gettimeofday () -. started in
-  (* aggregate per-worker counters *)
-  let sum f = Array.fold_left (fun acc w -> acc + f w) 0 all_stats in
+  let r =
+    Work_steal.run ?domains ~engine:"discrete-parallel"
+      ~span_args:
+        [ ("policy", Ezrt_obs.Trace.Str (Priority.to_string options.Search.policy)) ]
+      ~worker_span:"par-worker" ~cancel ~max_stored:options.Search.max_stored
+      ~depth:(fun n -> n.depth) ~root make_worker
+  in
+  let s = r.Work_steal.stats in
   let metrics =
     {
-      Search.stored = sum (fun w -> w.w_stored);
-      visited = sum (fun w -> w.w_visited);
-      eager = sum (fun w -> w.w_eager);
-      backtracks = sum (fun w -> w.w_backtracks);
-      max_depth =
-        Array.fold_left (fun acc w -> max acc w.w_max_depth) 0 all_stats;
-      elapsed_s;
-      por_reduced = sum (fun w -> w.w_por_reduced);
-      por_fallback = sum (fun w -> w.w_por_fallback);
-      por_skipped = sum (fun w -> w.w_por_skipped);
+      Search.stored = s.stored;
+      visited = s.stored + s.eager;
+      eager = s.eager;
+      backtracks = s.backtracks;
+      max_depth = s.max_depth;
+      elapsed_s = Unix.gettimeofday () -. started;
+      por_reduced = s.por_reduced;
+      por_fallback = s.por_fallback;
+      por_skipped = s.por_skipped;
     }
   in
-  let domains_used =
-    Array.fold_left
-      (fun acc w ->
-        if w.w_visited > 0 || w.w_shared_hits > 0 || w.w_steals > 0 then
-          acc + 1
-        else acc)
-      0 all_stats
-  in
   let table = Packed_state.Sharded.stats visited in
-  let steals = sum (fun w -> w.w_steals) in
-  let shared_hits = sum (fun w -> w.w_shared_hits) in
-  let replayed_fires = sum (fun w -> w.w_replayed) in
   let outcome =
-    match Atomic.get result with
-    | Some node ->
+    match r.Work_steal.outcome with
+    | Work_steal.Found node ->
       let rec path n acc =
         if n == origin then acc else path n.parent (n.actions @ acc)
       in
       Ok (Schedule.of_actions (path node []))
-    | None ->
-      if Atomic.get cancelled || Atomic.get budget_hit then
-        Error Search.Budget_exhausted
-      else Error Search.Infeasible
+    | Work_steal.Stopped -> Error Search.Budget_exhausted
+    | Work_steal.Exhausted -> Error Search.Infeasible
   in
-  Ezrt_obs.Trace.end_span ~cat:"search"
-    ~args:
-      [
-        ("stored", Ezrt_obs.Trace.Int metrics.Search.stored);
-        ("steals", Ezrt_obs.Trace.Int steals);
-        ("domains_used", Ezrt_obs.Trace.Int domains_used);
-      ]
-    "search";
   (* common search counters (incl. the POR triple) go through the same
      flush as the sequential engines, so every engine label carries an
-     identical series vocabulary; only the parallel-specific counters
-     are bumped by hand *)
+     identical series vocabulary *)
   Search.flush_metrics ~engine:"discrete-parallel" metrics;
-  let open Ezrt_obs in
-  let labels = [ ("engine", "discrete-parallel") ] in
-  let bump name help v = Metrics.add (Metrics.counter ~help ~labels name) v in
-  bump "ezrt_par_steals_total" "Work-stealing operations" steals;
-  bump "ezrt_par_shared_hits_total"
-    "Expansions skipped because the state was already claimed in the \
-     shared table"
-    shared_hits;
-  bump "ezrt_par_replayed_fires_total"
-    "Firings replayed while repositioning after pops and steals"
-    replayed_fires;
-  bump "ezrt_par_table_contended_total"
-    "Shared-table lock acquisitions that had to wait"
-    table.Packed_state.Sharded.contended;
-  bump "ezrt_par_table_entries_total" "Shared visited-table entries"
-    table.Packed_state.Sharded.entries;
+  Work_steal.flush_metrics ~engine:"discrete-parallel"
+    ~table_entries:table.Packed_state.Sharded.entries
+    ~table_contended:table.Packed_state.Sharded.contended r;
   {
     outcome;
     metrics;
-    domains_used;
-    steals;
-    shared_hits;
-    replayed_fires;
+    domains_used = r.Work_steal.domains_used;
+    steals = s.steals;
+    shared_hits = s.shared_hits;
+    replayed_fires = s.replayed;
     table;
   }

@@ -1,5 +1,6 @@
 (** Work-stealing parallel DFS: one search problem, N OCaml 5 domains
-    expanding disjoint subtrees from a shared frontier.
+    expanding disjoint subtrees from a shared frontier — the discrete
+    instance of the {!Work_steal} driver.
 
     Each worker owns a deque of unexpanded nodes (LIFO at the top, so
     a lone worker explores exactly the sequential incremental engine's

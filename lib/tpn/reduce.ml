@@ -6,27 +6,27 @@ type result = {
   transition_map : int array;
 }
 
+(* Token-flow liveness fixpoint.  A transition is (possibly) live when
+   every input arc is satisfiable: the initial marking already meets
+   the weight, or some live producer can feed the place (tokens then
+   accumulate over repeated firings, so any finite weight is
+   eventually met — a sound over-approximation).  Transitions never
+   reaching liveness are dead in every reachable marking. *)
 let live_transitions (net : Pnet.t) =
-  let n_places = Pnet.place_count net in
-  let n_trans = Pnet.transition_count net in
-  let markable = Array.init n_places (fun p -> net.Pnet.m0.(p) > 0) in
-  let live = Array.make n_trans false in
+  let nt = Pnet.transition_count net in
+  let producers = Pnet.producers net in
+  let live = Array.make nt false in
+  let sat (p, w) =
+    net.Pnet.m0.(p) >= w || Array.exists (fun t -> live.(t)) producers.(p)
+  in
   let changed = ref true in
   while !changed do
     changed := false;
-    for t = 0 to n_trans - 1 do
-      if not live.(t) then
-        if Array.for_all (fun (p, _) -> markable.(p)) net.Pnet.pre.(t) then begin
-          live.(t) <- true;
-          changed := true;
-          Array.iter
-            (fun (p, _) ->
-              if not markable.(p) then begin
-                markable.(p) <- true;
-                changed := true
-              end)
-            net.Pnet.post.(t)
-        end
+    for t = 0 to nt - 1 do
+      if (not live.(t)) && Array.for_all sat (Pnet.pre_arcs net t) then begin
+        live.(t) <- true;
+        changed := true
+      end
     done
   done;
   live

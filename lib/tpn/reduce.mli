@@ -4,9 +4,10 @@
     remove nodes that can never participate in it), useful for nets
     imported from PNML or assembled by hand:
 
-    - transitions that are structurally dead — some input place can
-      never receive a token (not marked initially and not produced by
-      any live transition, computed as a fixpoint);
+    - transitions that are structurally dead — some input arc can
+      never be satisfied (the initial marking falls short of its weight
+      and no live transition produces into the place, computed as a
+      fixpoint);
     - places that end up isolated (no arcs and no initial tokens).
 
     The translation's own nets are already clean; tests assert that
@@ -23,7 +24,11 @@ type result = {
 
 val live_transitions : Pnet.t -> bool array
 (** Fixpoint liveness over-approximation: a transition is kept when
-    every input place is potentially markable. *)
+    every input arc is satisfiable — the initial marking meets its
+    weight, or a live transition produces into the place.  Sound: a
+    transition mapped to [false] is dead in every reachable marking.
+    The one dead-transition analysis; [Lint.structurally_dead] reports
+    it. *)
 
 val cleanup : Pnet.t -> result
 

@@ -33,6 +33,28 @@ let test_liveness_fixpoint () =
   check_bool "t_chained removed (transitively)" false
     live.(Pnet.find_transition net "t_chained")
 
+(* Weights count: [t_heavy] needs two tokens from a place that holds
+   one and that nothing produces into, so it can never fire. *)
+let weighted_net () =
+  let b = Pnet.Builder.create "weighted" in
+  let p = Pnet.Builder.add_place b ~tokens:1 "p" in
+  let out = Pnet.Builder.add_place b "out" in
+  let t_heavy = Pnet.Builder.add_transition b "t_heavy" Time_interval.zero in
+  Pnet.Builder.arc_pt b ~weight:2 p t_heavy;
+  Pnet.Builder.arc_tp b t_heavy out;
+  let t_light = Pnet.Builder.add_transition b "t_light" Time_interval.zero in
+  Pnet.Builder.arc_pt b p t_light;
+  Pnet.Builder.arc_tp b t_light out;
+  Pnet.Builder.build b
+
+let test_liveness_respects_weights () =
+  let net = weighted_net () in
+  let live = Reduce.live_transitions net in
+  check_bool "t_heavy dead" false live.(Pnet.find_transition net "t_heavy");
+  check_bool "t_light kept" true live.(Pnet.find_transition net "t_light");
+  check_bool "cleanup drops t_heavy" true
+    ((Reduce.cleanup net).Reduce.removed_transitions = [ "t_heavy" ])
+
 let test_cleanup_removes_dead_nodes () =
   let result = Reduce.cleanup (dead_net ()) in
   check_bool "not identity" false (Reduce.is_identity result);
@@ -89,6 +111,7 @@ let test_small_nets_identity () =
 let suite =
   [
     case "liveness fixpoint" test_liveness_fixpoint;
+    case "liveness respects arc weights" test_liveness_respects_weights;
     case "cleanup removes dead nodes" test_cleanup_removes_dead_nodes;
     case "id maps preserve names" test_maps_consistent;
     case "translated nets are already clean" test_translated_nets_are_clean;
