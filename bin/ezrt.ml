@@ -238,25 +238,19 @@ let schedule_cmd =
           let model = Translate.translate spec in
           let subsume = not no_subsume in
           let por = not no_por in
-          let outcome, metrics, par_note =
-            match domains with
-            | Some d when d > 1 ->
-              let r =
-                Par_class.find_schedule ~max_stored:max_states ~subsume ~por
-                  ~domains:d ~cancel model
-              in
-              ( r.Par_class.outcome,
-                r.Par_class.metrics,
-                Printf.sprintf ", %d domain(s) used, %d steals"
-                  r.Par_class.domains_used r.Par_class.steals )
-            | Some _ | None ->
-              let outcome, metrics =
-                Class_search.find_schedule ~max_stored:max_states ~subsume ~por
-                  ~cancel model
-              in
-              (outcome, metrics, "")
+          let domains = Option.value domains ~default:1 in
+          let r =
+            Class_search.explore ~max_stored:max_states ~subsume ~por
+              ~domains ~cancel model
           in
-          match outcome with
+          let metrics = r.Class_search.metrics in
+          let par_note =
+            if domains > 1 then
+              Printf.sprintf ", %d domain(s) used, %d steals"
+                r.Class_search.domains_used r.Class_search.steals
+            else ""
+          in
+          match r.Class_search.outcome with
           | Ok schedule ->
             let segments = Timeline.of_schedule model schedule in
             (match Validator.check model segments with
@@ -291,8 +285,8 @@ let schedule_cmd =
         | `Parallel -> (
           let model = Translate.translate spec in
           let options = search_options policy no_po latest max_states no_por in
-          let r = Par_search.find_schedule ~options ?domains ~cancel model in
-          match r.Par_search.outcome with
+          let r = Search.explore ~options ?domains ~cancel model in
+          match r.Search.outcome with
           | Ok schedule -> (
             let segments = Timeline.of_schedule model schedule in
             match Validator.check model segments with
@@ -303,12 +297,12 @@ let schedule_cmd =
               exit 1
             | Ok () ->
               let table = Table.of_segments segments in
-              let m = r.Par_search.metrics in
+              let m = r.Search.metrics in
               Format.printf
                 "parallel search: %d domain(s) used, %d states stored, %d \
                  steals, %d shared-table hits, %.1f ms@."
-                r.Par_search.domains_used m.Search.stored r.Par_search.steals
-                r.Par_search.shared_hits
+                r.Search.domains_used m.Search.stored r.Search.steals
+                r.Search.shared_hits
                 (m.Search.elapsed_s *. 1000.);
               Format.printf "schedule table:@.%a" (Table.pp model) table;
               if gantt then Format.printf "@.%s" (Chart.render model segments);

@@ -4,8 +4,6 @@ module Translate = Ezrt_blocks.Translate
 module Search = Ezrt_sched.Search
 module Class_search = Ezrt_sched.Class_search
 module Portfolio = Ezrt_sched.Portfolio
-module Par_search = Ezrt_sched.Par_search
-module Par_class = Ezrt_sched.Par_class
 module Schedule = Ezrt_sched.Schedule
 module Validator = Ezrt_sched.Validator
 module Sim = Ezrt_baseline.Sim
@@ -185,11 +183,8 @@ let check ?(max_stored = 50_000) ?(class_domains = 1) ?engines ?(extra = [])
       let classes =
         run "classes" (fun () ->
             of_class
-              (if class_domains > 1 then
-                 (Par_class.find_schedule ~max_stored ~domains:class_domains
-                    model)
-                   .Par_class.outcome
-               else fst (Class_search.find_schedule ~max_stored model)))
+              (Class_search.explore ~max_stored ~domains:class_domains model)
+                .Class_search.outcome)
       in
       (* POR-off baselines: the default rows above run with the
          stubborn-set reduction on, so these two re-run the incremental
@@ -227,11 +222,11 @@ let check ?(max_stored = 50_000) ?(class_domains = 1) ?engines ?(extra = [])
       let parallel =
         run "parallel" (fun () ->
             let r =
-              Par_search.find_schedule
+              Search.explore
                 ~options:{ Search.default_options with max_stored }
                 ~domains:2 model
             in
-            of_search r.Par_search.outcome)
+            of_search r.Search.outcome)
       in
       let analysis =
         run "analysis" (fun () ->

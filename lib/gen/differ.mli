@@ -15,7 +15,7 @@
       configuration schedules, it must too;
     - the sequential portfolio subsumes its member engines' verdicts
       in both directions;
-    - the work-stealing parallel engine ({!Ezrt_sched.Par_search})
+    - the work-stealing parallel engine ({!Ezrt_sched.Search.explore})
       explores the same discrete choice space as the sequential
       engines: decisive verdicts must agree, while the {e specific}
       schedule may legitimately differ (subtree completion order is
@@ -112,10 +112,10 @@ val check :
   Ezrt_spec.Spec.t ->
   report
 (** Run every engine (bounded by [max_stored], default 50_000) and
-    every cross-check on one spec.  [class_domains] (default 1) runs
-    the classes engine through the work-stealing parallel searcher
-    when greater than one, cross-checking the shared class store
-    against every other engine.  [engines] restricts the built-in
+    every cross-check on one spec.  [class_domains] (default 1) is
+    the classes row's worker domain count; above one the row
+    cross-checks the shared class store under stealing against every
+    other engine.  [engines] restricts the built-in
     engines that run (default: all of {!builtin_engines}; unknown
     names raise [Invalid_argument]); cross-checks needing a skipped
     engine are skipped too, which lets a campaign bisect e.g. just

@@ -19,9 +19,28 @@ type stats = {
   elapsed_s : float;
 }
 
-let class_verdict (report : Differ.report) =
-  List.find_opt (fun r -> r.Differ.engine = "classes") report.Differ.results
-  |> Option.map (fun r -> r.Differ.verdict)
+(* The campaign tally: feasible when any row produced a schedule,
+   infeasible only on a proof — the exhaustion of a complete row (the
+   dense-time class engines; the discrete ones explore a work-conserving
+   choice space) or a witnessed analytic reject, which the differ turns
+   into [Infeasible] only once the witness holds — and inconclusive
+   otherwise. *)
+let tally (report : Differ.report) =
+  let results = report.Differ.results in
+  let scheduled (r : Differ.engine_result) =
+    match r.Differ.verdict with
+    | Differ.Feasible _ -> true
+    | Differ.Infeasible | Differ.Unknown _ -> false
+  in
+  let proves_infeasible (r : Differ.engine_result) =
+    match r.Differ.verdict with
+    | Differ.Infeasible ->
+      List.mem r.Differ.engine [ "classes"; "classes-no-por"; "analysis" ]
+    | Differ.Feasible _ | Differ.Unknown _ -> false
+  in
+  if List.exists scheduled results then `Feasible
+  else if List.exists proves_infeasible results then `Infeasible
+  else `Inconclusive
 
 (* Per-spec observability: one verdict counter bump per engine result,
    so campaigns expose which engine said what how often. *)
@@ -76,10 +95,11 @@ let run ?(profile = Spec_gen.default) ?max_stored ?class_domains ?engines
     let report = Differ.check ?max_stored ?class_domains ?engines spec in
     obs_spec_result report;
     (match log with Some f -> f index spec report | None -> ());
-    (match class_verdict report with
-    | Some (Differ.Feasible _) -> incr feasible
-    | Some Differ.Infeasible -> incr infeasible
-    | Some (Differ.Unknown _) | None -> incr unknown);
+    incr
+      (match tally report with
+      | `Feasible -> feasible
+      | `Infeasible -> infeasible
+      | `Inconclusive -> unknown);
     if report.Differ.divergences <> [] then begin
       Ezrt_obs.Trace.instant ~cat:"fuzz" "divergence"
         ~args:[ ("index", Ezrt_obs.Trace.Int index) ];

@@ -36,17 +36,18 @@ val run :
   unit ->
   stats
 (** Generate [count] specs from [seed] and {!Differ.check} each.
-    [class_domains] is forwarded to {!Differ.check} — greater than one
-    runs the classes engine through the parallel searcher.
+    [class_domains] is forwarded to {!Differ.check}: the classes
+    row's worker domain count.
     [engines] restricts which built-in engines run and cross-check
     (see {!Differ.builtin_engines}) — e.g. [["parallel"; "reference"]]
     bisects parallel-only divergences quickly; shrinking uses the same
     restriction so the minimized spec still exhibits the restricted
     divergence.  Divergent specs are minimized with {!Shrink.minimize}
     unless [shrink:false].  [log] observes every checked spec (for
-    progress reporting).  The feasible/infeasible tally follows the
-    class engine's verdict, the most authoritative one (always
-    [unknown] when "classes" is filtered out). *)
+    progress reporting).  A spec is tallied feasible when any row
+    returned a schedule, infeasible only when a complete row
+    ("classes", "classes-no-por") or a witnessed "analysis" reject
+    says so, and [unknown] otherwise. *)
 
 val specs_per_s : stats -> float
 

@@ -24,20 +24,6 @@ let failure_to_string = function
   | Budget_exhausted -> "stored-class budget exhausted"
   | Extraction_failed -> "class path could not be realized at integer times"
 
-type counters = {
-  mutable c_stored : int;
-  mutable c_visited : int;
-  mutable c_eager : int;
-  mutable c_backtracks : int;
-  mutable c_max_depth : int;
-  mutable c_por_reduced : int;
-  mutable c_por_fallback : int;
-  mutable c_por_skipped : int;
-}
-
-exception Found of Pnet.transition_id list
-(* reversed transition sequence *)
-
 let is_final model (c : State_class.t) =
   c.State_class.marking.(model.Translate.final_place) >= 1
 
@@ -267,6 +253,20 @@ let apply_por ~ind net (c : State_class.t) firable =
     ~tokens:(fun p -> c.State_class.marking.(p))
     firable
 
+let metrics_of_stats (s : Work_steal.stats) ~subsumed elapsed_s =
+  {
+    stored = s.stored;
+    visited = s.stored + s.eager;
+    eager = s.eager;
+    backtracks = s.backtracks;
+    subsumed;
+    max_depth = s.max_depth;
+    elapsed_s;
+    por_reduced = s.por_reduced;
+    por_fallback = s.por_fallback;
+    por_skipped = s.por_skipped;
+  }
+
 let to_search_metrics (m : metrics) =
   {
     Search.stored = m.stored;
@@ -297,135 +297,136 @@ let flush_class_metrics ~engine (m : metrics) (store : Class_store.stats) =
     "Classes pruned by inclusion in an already-explored domain"
     store.Class_store.subsumed
 
-let find_schedule ?(max_stored = 500_000) ?(subsume = true) ?(por = true)
+(* --- the driver's class instance -------------------------------------- *)
+(* Classes are immutable values ([State_class.fire] is pure), so there
+   is no incremental engine to reposition: a node carries its class and
+   the reversed transition path that produced it, and moving between
+   nodes is free.  What is shared is the Class_store: a node claims its
+   canonical class at first visit (Fresh) before expanding; Duplicate
+   and Subsumed answers mean some worker already owns an equal or
+   containing domain under the same marking, so the subtree is pruned.
+   The first claimant explores the whole choice space below a class
+   before the DFS ever reaches a second copy, so skipping duplicates
+   loses no witness, and a class-graph cycle terminates; subsumed
+   classes are skipped on the same argument (see
+   [subsumption_applicable]). *)
+
+type exploration = {
+  outcome : (Schedule.t, failure) result;
+  metrics : metrics;
+  domains_used : int;
+  steals : int;
+  store : Class_store.stats;
+}
+
+type node = {
+  mutable path_rev : Pnet.transition_id list;
+  mutable cls : State_class.t;
+      (* the parent's class until the node is visited, which fires the
+         head of [path_rev] — a sibling the search never reaches is
+         never fired — then advanced in place along the eager chain,
+         before any child is published *)
+  depth : int;
+}
+
+let explore ?(max_stored = 500_000) ?(subsume = true) ?(por = true) ?domains
     ?(cancel = no_cancel) model =
-  let net = model.Translate.net in
   let started = Unix.gettimeofday () in
+  let domains =
+    match domains with Some d -> d | None -> Work_steal.default_domains ()
+  in
+  let engine = if domains <= 1 then "classes" else "classes-parallel" in
+  let net = model.Translate.net in
   let subsume = subsume && subsumption_applicable model in
+  (* the stubborn-set context is immutable after creation — shared
+     read-only across worker domains like the net itself *)
   let ind = Search.por_context { Search.default_options with por } model in
-  Ezrt_obs.Trace.begin_span ~cat:"search"
-    ~args:
-      [
-        ("engine", Ezrt_obs.Trace.Str "classes");
-        ("subsume", Ezrt_obs.Trace.Str (string_of_bool subsume));
-      ]
-    "search";
   let store = Class_store.create ~subsume () in
-  let counters =
-    { c_stored = 0; c_visited = 0; c_eager = 0; c_backtracks = 0;
-      c_max_depth = 0; c_por_reduced = 0; c_por_fallback = 0;
-      c_por_skipped = 0 }
-  in
-  let progress =
-    let snapshot () =
-      let dt = Unix.gettimeofday () -. started in
-      Printf.sprintf
-        "search[classes]: %d stored, %d visited, depth %d, %.0f classes/s"
-        counters.c_stored counters.c_visited counters.c_max_depth
-        (float_of_int counters.c_visited /. max 1e-9 dt)
-    in
-    fun () -> Ezrt_obs.Progress.tick snapshot
-  in
-  let budget_hit = ref false in
-  (* a lone firable transition leaves no choice: advance without
-     creating a search node.  Cancel is polled here too — chains of
-     forced firings are where a losing portfolio member used to
-     linger after its rivals finished. *)
-  let rec eager_advance path_rev c =
-    if is_final model c || is_dead model c then (path_rev, c)
-    else if cancel () then begin
-      budget_hit := true;
-      (path_rev, c)
-    end
-    else
-      match State_class.firable net c with
-      | [ tid ] ->
-        counters.c_eager <- counters.c_eager + 1;
-        counters.c_visited <- counters.c_visited + 1;
-        eager_advance (tid :: path_rev) (State_class.fire net c tid)
-      | [] | _ :: _ -> (path_rev, c)
-  in
-  (* The store claims a class at FIRST visit (not, as the engine once
-     did, memoizing only fully-exhausted failures): the first claimant
-     explores the whole choice space below the class before the DFS
-     ever reaches a second copy, so skipping duplicates loses no
-     witness, and a class graph cycle terminates instead of recursing
-     forever.  Subsumed classes are skipped on the same argument —
-     their behaviours are a subset of a stored class's (see
-     [subsumption_applicable]). *)
-  let rec dfs depth path_rev c =
-    if depth > counters.c_max_depth then counters.c_max_depth <- depth;
-    if is_final model c then raise (Found path_rev);
-    if cancel () then budget_hit := true;
-    if (not (is_dead model c)) && not !budget_hit then begin
-      if counters.c_stored >= max_stored then budget_hit := true
+  let root = { path_rev = []; cls = State_class.initial net; depth = 0 } in
+  let make_worker id (w : Work_steal.stats) =
+    (* Chains of forced firings are where a losing portfolio member
+       used to linger after its rivals finished, so worker 0 polls
+       [cancel] down them too — only worker 0, like the driver, so the
+       hook is never called from two domains at once. *)
+    let cancel = if id = 0 then cancel else no_cancel in
+    (* a lone firable transition leaves no choice: advance without
+       publishing a node; [false] when cancelled mid-chain *)
+    let rec eager_advance node =
+      let c = node.cls in
+      if is_final model c || is_dead model c then true
+      else if cancel () then false
       else
-        match Class_store.visit store c with
-        | Class_store.Duplicate | Class_store.Subsumed -> ()
-        | Class_store.Fresh ->
-          counters.c_stored <- counters.c_stored + 1;
-          counters.c_visited <- counters.c_visited + 1;
-          progress ();
-          let firable, por_out = apply_por ~ind net c (State_class.firable net c) in
-          (match por_out with
-          | Search.Por_reduced ->
-            counters.c_por_reduced <- counters.c_por_reduced + 1
-          | Search.Por_fallback ->
-            counters.c_por_fallback <- counters.c_por_fallback + 1
-          | Search.Por_skipped ->
-            if por then counters.c_por_skipped <- counters.c_por_skipped + 1);
-          let candidates = order_candidates net c firable in
-          List.iter
-            (fun tid ->
-              if not !budget_hit then begin
-                let path_rev, c' =
-                  eager_advance (tid :: path_rev) (State_class.fire net c tid)
-                in
-                dfs (depth + 1) path_rev c'
-              end)
-            candidates;
-          counters.c_backtracks <- counters.c_backtracks + 1
-    end
+        match State_class.firable net c with
+        | [ tid ] ->
+          w.eager <- w.eager + 1;
+          node.path_rev <- tid :: node.path_rev;
+          node.cls <- State_class.fire net c tid;
+          eager_advance node
+        | [] | _ :: _ -> true
+    in
+    let visit node =
+      (match node.path_rev with
+      | tid :: _ -> node.cls <- State_class.fire net node.cls tid
+      | [] -> ());
+      if not (eager_advance node) then Work_steal.Cancelled
+      else if is_final model node.cls then Work_steal.Goal
+      else if is_dead model node.cls then Work_steal.Dead_end
+      else
+        match Class_store.visit store node.cls with
+        | Class_store.Fresh -> Work_steal.Fresh
+        | Class_store.Duplicate | Class_store.Subsumed -> Work_steal.Claim_lost
+    in
+    let children node =
+      let c = node.cls in
+      let firable, por_out = apply_por ~ind net c (State_class.firable net c) in
+      Work_steal.count_por w ~por por_out;
+      let child tid =
+        { path_rev = tid :: node.path_rev; cls = c; depth = node.depth + 1 }
+      in
+      match order_candidates net c firable with
+      | [] -> Work_steal.Leaf
+      | first :: rest ->
+        (* the first candidate is kept in hand; the rest are pushed in
+           reverse, so the deque top holds the second candidate,
+           preserving the sequential order for a lone worker *)
+        Work_steal.Children
+          (child first, List.fold_left (fun acc tid -> child tid :: acc) [] rest)
+    in
+    { Work_steal.visit; children }
   in
-  let outcome =
-    Fun.protect
-      ~finally:(fun () ->
-        Ezrt_obs.Trace.end_span ~cat:"search"
-          ~args:
-            [
-              ("stored", Ezrt_obs.Trace.Int counters.c_stored);
-              ("visited", Ezrt_obs.Trace.Int counters.c_visited);
-              ("subsumed",
-               Ezrt_obs.Trace.Int (Class_store.stats store).Class_store.subsumed);
-            ]
-          "search")
-      (fun () ->
-        match
-          let path0, c0 = eager_advance [] (State_class.initial net) in
-          if is_final model c0 then raise (Found path0);
-          dfs 0 path0 c0
-        with
-        | () -> Error (if !budget_hit then Budget_exhausted else Infeasible)
-        | exception Found path_rev -> (
-          match extract net (List.rev path_rev) with
-          | Some schedule -> Ok schedule
-          | None -> Error Extraction_failed))
+  let r =
+    Work_steal.run ~domains ~engine
+      ~span_args:[ ("subsume", Ezrt_obs.Trace.Str (string_of_bool subsume)) ]
+      ~worker_span:"class-worker" ~cancel ~max_stored
+      ~depth:(fun n -> n.depth) ~root make_worker
   in
-  let elapsed_s = Unix.gettimeofday () -. started in
+  let s = r.Work_steal.stats in
   let store_stats = Class_store.stats store in
   let metrics =
-    {
-      stored = counters.c_stored;
-      visited = counters.c_visited;
-      eager = counters.c_eager;
-      backtracks = counters.c_backtracks;
-      subsumed = store_stats.Class_store.subsumed;
-      max_depth = counters.c_max_depth;
-      elapsed_s;
-      por_reduced = counters.c_por_reduced;
-      por_fallback = counters.c_por_fallback;
-      por_skipped = counters.c_por_skipped;
-    }
+    metrics_of_stats s ~subsumed:store_stats.Class_store.subsumed
+      (Unix.gettimeofday () -. started)
   in
-  flush_class_metrics ~engine:"classes" metrics store_stats;
-  (outcome, metrics)
+  let outcome =
+    match r.Work_steal.outcome with
+    | Work_steal.Found node -> (
+      match extract net (List.rev node.path_rev) with
+      | Some schedule -> Ok schedule
+      | None -> Error Extraction_failed)
+    | Work_steal.Stopped -> Error Budget_exhausted
+    | Work_steal.Exhausted -> Error Infeasible
+  in
+  flush_class_metrics ~engine metrics store_stats;
+  Work_steal.flush_metrics ~engine
+    ~table_entries:store_stats.Class_store.entries
+    ~table_contended:store_stats.Class_store.contended r;
+  {
+    outcome;
+    metrics;
+    domains_used = r.Work_steal.domains_used;
+    steals = s.steals;
+    store = store_stats;
+  }
+
+let find_schedule ?max_stored ?subsume ?por ?cancel model =
+  let r = explore ?max_stored ?subsume ?por ~domains:1 ?cancel model in
+  (r.outcome, r.metrics)

@@ -14,6 +14,7 @@ type metrics = {
   visited : int;
   eager : int;  (** classes skipped by singleton-chain collapsing *)
   backtracks : int;
+      (** dead ends plus stored classes with no candidate to fire *)
   subsumed : int;
       (** classes pruned by inclusion in an already-explored domain *)
   max_depth : int;
@@ -60,36 +61,34 @@ val find_schedule :
     visited class, including forced eager-advance chains (default:
     never); when it returns [true] the search unwinds and reports
     {!Budget_exhausted} — used by the parallel portfolio to stop
-    losing configurations. *)
+    losing configurations.  This is [explore ~domains:1]. *)
 
-(**/**)
+type exploration = {
+  outcome : (Schedule.t, failure) result;
+  metrics : metrics;  (** aggregated over workers *)
+  domains_used : int;
+      (** workers that expanded, lost a claim or stole at least once *)
+  steals : int;
+  store : Ezrt_tpn.Class_store.stats;
+}
 
-(* Shared with the parallel class engine ({!Par_class}). *)
-
-val is_final : Ezrt_blocks.Translate.t -> Ezrt_tpn.State_class.t -> bool
-val is_dead : Ezrt_blocks.Translate.t -> Ezrt_tpn.State_class.t -> bool
-
-val order_candidates :
-  Ezrt_tpn.Pnet.t ->
-  Ezrt_tpn.State_class.t ->
-  Ezrt_tpn.Pnet.transition_id list ->
-  Ezrt_tpn.Pnet.transition_id list
-
-val extract :
-  Ezrt_tpn.Pnet.t -> Ezrt_tpn.Pnet.transition_id list -> Schedule.t option
-
-val apply_por :
-  ind:Ezrt_tpn.Indep.t option ->
-  Ezrt_tpn.Pnet.t ->
-  Ezrt_tpn.State_class.t ->
-  Ezrt_tpn.Pnet.transition_id list ->
-  Ezrt_tpn.Pnet.transition_id list * Search.por_outcome
-(* Class-level reduction gate: urgency is "some enabled transition has
-   delay upper bound 0".  Shared by both class engines. *)
+val explore :
+  ?max_stored:int ->
+  ?subsume:bool ->
+  ?por:bool ->
+  ?domains:int ->
+  ?cancel:(unit -> bool) ->
+  Ezrt_blocks.Translate.t ->
+  exploration
+(** The class-graph instance of the {!Work_steal} driver: [domains]
+    workers (default {!Work_steal.default_domains}) expand disjoint
+    subtrees of the class graph, pruning through one shared
+    {!Ezrt_tpn.Class_store}, so each canonical class is expanded at
+    most once globally.  With one domain the run is {!find_schedule}
+    and reports under the [classes] label; with more it reports under
+    [classes-parallel], and only the verdict is deterministic.  Other
+    arguments as for {!find_schedule}; [cancel] is polled by worker 0
+    only. *)
 
 val to_search_metrics : metrics -> Search.metrics
-
-val flush_class_metrics :
-  engine:string -> metrics -> Ezrt_tpn.Class_store.stats -> unit
-
-(**/**)
+(** The class metrics without [subsumed], in the discrete record. *)

@@ -122,38 +122,29 @@ let class_outcome = function
     Error Search.Budget_exhausted
 
 let run_config ~max_stored ~por ~cancel model cfg =
-  match cfg.engine with
-  | Discrete ->
-    let options =
-      { Search.default_options with
-        policy = cfg.policy;
-        latest_release = cfg.latest_release;
-        max_stored;
-        por }
-    in
-    let outcome, metrics = Search.find_schedule ~options ~cancel model in
-    { config = cfg; outcome; metrics; cancelled = false }
-  | Classes ->
-    let outcome, metrics =
-      Class_search.find_schedule ~max_stored ~por ~cancel model
-    in
-    { config = cfg; outcome = class_outcome outcome;
-      metrics = class_metrics metrics; cancelled = false }
-  | Class_parallel domains ->
-    let r = Par_class.find_schedule ~max_stored ~por ~domains ~cancel model in
-    { config = cfg; outcome = class_outcome r.Par_class.outcome;
-      metrics = class_metrics r.Par_class.metrics; cancelled = false }
-  | Parallel domains ->
-    let options =
-      { Search.default_options with
-        policy = cfg.policy;
-        latest_release = cfg.latest_release;
-        max_stored;
-        por }
-    in
-    let r = Par_search.find_schedule ~options ~domains ~cancel model in
-    { config = cfg; outcome = r.Par_search.outcome;
-      metrics = r.Par_search.metrics; cancelled = false }
+  let domains =
+    match cfg.engine with
+    | Discrete | Classes -> 1
+    | Parallel d | Class_parallel d -> d
+  in
+  let outcome, metrics =
+    match cfg.engine with
+    | Discrete | Parallel _ ->
+      let options =
+        { Search.default_options with
+          policy = cfg.policy;
+          latest_release = cfg.latest_release;
+          max_stored;
+          por }
+      in
+      let r = Search.explore ~options ~domains ~cancel model in
+      (r.Search.outcome, r.Search.metrics)
+    | Classes | Class_parallel _ ->
+      let r = Class_search.explore ~max_stored ~por ~domains ~cancel model in
+      (class_outcome r.Class_search.outcome,
+       class_metrics r.Class_search.metrics)
+  in
+  { config = cfg; outcome; metrics; cancelled = false }
 
 (* Race-level accounting: one bulk registry update after the join, so
    losers' work — invisible in the returned schedule — still shows up

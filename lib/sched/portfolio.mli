@@ -13,11 +13,11 @@ type engine =
   | Discrete  (** {!Search.find_schedule}, incremental engine *)
   | Classes  (** {!Class_search.find_schedule} *)
   | Parallel of int
-      (** {!Par_search.find_schedule} with this many worker domains —
+      (** {!Search.explore} with this many worker domains —
           a shared-visited member racing the independent ones with the
           host's leftover domains *)
   | Class_parallel of int
-      (** {!Par_class.find_schedule} with this many worker domains —
+      (** {!Class_search.explore} with this many worker domains —
           the work-stealing class engine over a shared
           {!Ezrt_tpn.Class_store} *)
 

@@ -35,35 +35,6 @@ type metrics = {
   por_skipped : int;
 }
 
-type counters = {
-  mutable c_stored : int;
-  mutable c_visited : int;
-  mutable c_eager : int;
-  mutable c_backtracks : int;
-  mutable c_max_depth : int;
-  mutable c_por_reduced : int;
-  mutable c_por_fallback : int;
-  mutable c_por_skipped : int;
-}
-
-(* --- observability ---------------------------------------------------
-   The DFS keeps its own unsynchronized counter record (hot path); the
-   Ezrt_obs registry receives the totals in one bulk update per search,
-   and the progress reporter renders from the live record only when a
-   line is due.  With no sink installed all of this is a branch on
-   [None] per stored node. *)
-
-let progress_reporter ~engine (c : counters) =
-  let t0 = Unix.gettimeofday () in
-  let snapshot () =
-    let dt = Unix.gettimeofday () -. t0 in
-    Printf.sprintf
-      "search[%s]: %d stored, %d visited, depth %d, %.0f states/s" engine
-      c.c_stored c.c_visited c.c_max_depth
-      (float_of_int c.c_visited /. max 1e-9 dt)
-  in
-  fun () -> Ezrt_obs.Progress.tick snapshot
-
 let flush_metrics ~engine (m : metrics) =
   let open Ezrt_obs in
   let labels = [ ("engine", engine) ] in
@@ -74,7 +45,8 @@ let flush_metrics ~engine (m : metrics) =
   bump "ezrt_search_visited_states_total" "Search nodes visited" m.visited;
   bump "ezrt_search_eager_fires_total"
     "Forced immediate firings collapsed without storing a node" m.eager;
-  bump "ezrt_search_backtracks_total" "Exhausted search nodes" m.backtracks;
+  bump "ezrt_search_backtracks_total"
+    "Dead ends plus stored nodes with no candidate" m.backtracks;
   bump "ezrt_por_reduced_total"
     "Expansions pruned by the stubborn-set partial-order reduction"
     m.por_reduced;
@@ -89,24 +61,24 @@ let flush_metrics ~engine (m : metrics) =
     (max 0.0 m.elapsed_s);
   Metrics.record_gc_gauges ()
 
-let metrics_of_counters (c : counters) elapsed_s =
+let metrics_of_stats (s : Work_steal.stats) elapsed_s =
   {
-    stored = c.c_stored;
-    visited = c.c_visited;
-    eager = c.c_eager;
-    backtracks = c.c_backtracks;
-    max_depth = c.c_max_depth;
+    stored = s.stored;
+    visited = s.stored + s.eager;
+    eager = s.eager;
+    backtracks = s.backtracks;
+    max_depth = s.max_depth;
     elapsed_s;
-    por_reduced = c.c_por_reduced;
-    por_fallback = c.c_por_fallback;
-    por_skipped = c.c_por_skipped;
+    por_reduced = s.por_reduced;
+    por_fallback = s.por_fallback;
+    por_skipped = s.por_skipped;
   }
 
 (* Shared stubborn-set reduction plumbing: [por_context] decides once
-   per search whether reduction is even on the table, [reduce_fireable]
-   applies the per-state urgency gate and counts the outcome.  Every
-   engine goes through these two so the `ezrt_por_*` counters mean the
-   same thing everywhere. *)
+   per search whether reduction is even on the table, [apply_por]
+   applies the per-state urgency gate and reports the outcome for
+   [Work_steal.count_por].  Every engine goes through these two so the
+   `ezrt_por_*` counters mean the same thing everywhere. *)
 
 let por_context options model =
   if options.por && not options.latest_release then
@@ -118,33 +90,13 @@ let por_context options model =
     if Indep.applicable ind then Some ind else None
   else None
 
-type por_outcome =
-  | Por_reduced
-  | Por_fallback
-  | Por_skipped
-
 let apply_por ~ind ~urgent ~enabled ~dub_zero ~tokens fireable =
   match ind with
   | Some ind when urgent () -> (
     match Indep.reduce ind ~enabled ~dub_zero ~tokens fireable with
-    | Indep.Reduced e -> (e, Por_reduced)
-    | Indep.Fallback -> (fireable, Por_fallback))
-  | Some _ | None -> (fireable, Por_skipped)
-
-let reduce_fireable ~ind ~options ~counters:(c : counters) ~urgent ~enabled
-    ~dub_zero ~tokens fireable =
-  let expansion, outcome =
-    apply_por ~ind ~urgent ~enabled ~dub_zero ~tokens fireable
-  in
-  (match outcome with
-  | Por_reduced -> c.c_por_reduced <- c.c_por_reduced + 1
-  | Por_fallback -> c.c_por_fallback <- c.c_por_fallback + 1
-  | Por_skipped ->
-    if options.por then c.c_por_skipped <- c.c_por_skipped + 1);
-  expansion
-
-exception Found of (Pnet.transition_id * int) list
-(* carries the reversed action path *)
+    | Indep.Reduced e -> (e, Work_steal.Por_reduced)
+    | Indep.Fallback -> (fireable, Work_steal.Por_fallback))
+  | Some _ | None -> (fireable, Work_steal.Por_skipped)
 
 let is_immediate net tid =
   let itv = Pnet.interval net tid in
@@ -163,17 +115,30 @@ let firing_times options model tid (lo, hi) =
     | Time_interval.Finite _ | Time_interval.Infinity -> [ lo ]
   else [ lo ]
 
-(* --- copy-based reference engine ------------------------------------ *)
-(* The seed implementation: immutable states, a [State.Table] memo.
-   Kept as the semantic oracle for the differential tests and the
-   benchmark baseline. *)
 
-let find_schedule_copying ~options ~cancel model counters =
+let no_cancel () = false
+
+(* --- copy-based reference engine ------------------------------------ *)
+(* The seed implementation: immutable states, a [State.Table] memo of
+   exhausted states, a recursive DFS.  Kept as the semantic oracle for
+   the differential tests and the benchmark baseline; it counts with
+   the driver's vocabulary, so both report the same metrics. *)
+
+exception Found of (Pnet.transition_id * int) list
+(* carries the reversed action path *)
+
+let find_schedule_copying ~options ~cancel model =
+  let started = Unix.gettimeofday () in
   let net = model.Translate.net in
   let ind = por_context options model in
   let failed = State.Table.create 4096 in
   let budget_hit = ref false in
-  let progress = progress_reporter ~engine:"discrete-copying" counters in
+  let c = Work_steal.zero_stats () in
+  let progress () =
+    Ezrt_obs.Progress.tick (fun () ->
+        Printf.sprintf "search[discrete-copying]: %d stored, depth %d"
+          c.stored c.max_depth)
+  in
   (* Collapse chains of forced immediate firings: when the fireable set
      is a singleton [0,0] transition, the semantics leaves no choice and
      no time passes, so the intermediate state need not become a search
@@ -186,36 +151,31 @@ let find_schedule_copying ~options ~cancel model counters =
     then
       match State.fireable net s with
       | [ tid ] when is_immediate net tid ->
-        counters.c_eager <- counters.c_eager + 1;
-        counters.c_visited <- counters.c_visited + 1;
+        c.eager <- c.eager + 1;
         eager_advance ((tid, 0) :: path_rev) (State.fire net s tid 0)
       | [] | _ :: _ -> (path_rev, s)
     else (path_rev, s)
   in
   let rec dfs depth path_rev s =
-    if depth > counters.c_max_depth then counters.c_max_depth <- depth;
+    if depth > c.max_depth then c.max_depth <- depth;
     if Translate.is_final model s then raise (Found path_rev);
-    if cancel () then budget_hit := true;
-    if
-      (not (Translate.is_dead model s))
-      && (not (State.Table.mem failed s))
-      && not !budget_hit
-    then begin
-      if counters.c_stored >= options.max_stored then budget_hit := true
-      else begin
-        counters.c_stored <- counters.c_stored + 1;
-        counters.c_visited <- counters.c_visited + 1;
-        progress ();
-        let fireable =
-          reduce_fireable ~ind ~options ~counters
-            ~urgent:(fun () -> State.min_dub net s = Time_interval.Finite 0)
-            ~enabled:(State.is_enabled s)
-            ~dub_zero:(fun t -> State.dub net s t = Time_interval.Finite 0)
-            ~tokens:(State.tokens s) (State.fireable net s)
-        in
-        let ordered = Priority.order options.policy model s fireable in
-        let try_candidate tid =
-          if not !budget_hit then
+    if Translate.is_dead model s then c.backtracks <- c.backtracks + 1
+    else begin
+      if cancel () then budget_hit := true;
+      if not (!budget_hit || State.Table.mem failed s) then
+        if c.stored >= options.max_stored then budget_hit := true
+        else begin
+          c.stored <- c.stored + 1;
+          progress ();
+          let fireable, por =
+            apply_por ~ind
+              ~urgent:(fun () -> State.min_dub net s = Time_interval.Finite 0)
+              ~enabled:(State.is_enabled s)
+              ~dub_zero:(fun t -> State.dub net s t = Time_interval.Finite 0)
+              ~tokens:(State.tokens s) (State.fireable net s)
+          in
+          Work_steal.count_por c ~por:options.por por;
+          let try_candidate tid =
             let domain = State.firing_domain net s tid in
             List.iter
               (fun q ->
@@ -226,138 +186,15 @@ let find_schedule_copying ~options ~cancel model counters =
                   dfs (depth + 1) path_rev s'
                 end)
               (firing_times options model tid domain)
-        in
-        List.iter try_candidate ordered;
-        counters.c_backtracks <- counters.c_backtracks + 1;
-        State.Table.replace failed s ()
-      end
-    end
-  in
-  match
-    let path0, s0 = eager_advance [] (State.initial net) in
-    if Translate.is_final model s0 then raise (Found path0);
-    dfs 0 path0 s0
-  with
-  | () -> Error (if !budget_hit then Budget_exhausted else Infeasible)
-  | exception Found path_rev -> Ok (Schedule.of_actions (List.rev path_rev))
-
-(* --- incremental engine --------------------------------------------- *)
-(* One mutable [State.Incremental] engine walked push/pop by the DFS;
-   the failed-state memo stores packed byte states with memoized
-   hashes.  Candidate order, firing domains and counter updates mirror
-   the copy-based engine exactly, so both produce action-for-action
-   identical schedules and identical metrics. *)
-
-let find_schedule_incremental ~options ~cancel model counters =
-  let net = model.Translate.net in
-  let ind = por_context options model in
-  let eng = State.Incremental.create net in
-  let view = Priority.view_of_engine eng in
-  (* Size the memo from the stored-state budget (capped — Hashtbl grows
-     on demand, this only avoids rehash churn on the way up without
-     zeroing megabytes for searches that stay small). *)
-  let failed =
-    Packed_state.Table.create (max 1024 (min options.max_stored 0x10000))
-  in
-  let budget_hit = ref false in
-  let progress = progress_reporter ~engine:"discrete-incremental" counters in
-  let is_final () = State.Incremental.tokens eng model.Translate.final_place >= 1 in
-  let is_dead () =
-    List.exists
-      (fun pdm -> State.Incremental.tokens eng pdm > 0)
-      model.Translate.dead_places
-  in
-  (* fires eager singleton chains in place, extending [path_rev] *)
-  let rec eager_advance path_rev =
-    if options.partial_order && (not (is_final ())) && not (is_dead ()) then
-      match State.Incremental.fireable eng with
-      | [ tid ] when is_immediate net tid ->
-        counters.c_eager <- counters.c_eager + 1;
-        counters.c_visited <- counters.c_visited + 1;
-        State.Incremental.fire eng tid 0;
-        eager_advance ((tid, 0) :: path_rev)
-      | [] | _ :: _ -> path_rev
-    else path_rev
-  in
-  let rec dfs depth path_rev =
-    if depth > counters.c_max_depth then counters.c_max_depth <- depth;
-    if is_final () then raise (Found path_rev);
-    if cancel () then budget_hit := true;
-    if (not (is_dead ())) && not !budget_hit then begin
-      let key = Packed_state.of_engine eng in
-      if not (Packed_state.Table.mem failed key) then begin
-        if counters.c_stored >= options.max_stored then budget_hit := true
-        else begin
-          counters.c_stored <- counters.c_stored + 1;
-          counters.c_visited <- counters.c_visited + 1;
-          progress ();
-          let fireable =
-            reduce_fireable ~ind ~options ~counters
-              ~urgent:(fun () ->
-                State.Incremental.min_dub eng = Time_interval.Finite 0)
-              ~enabled:(State.Incremental.is_enabled eng)
-              ~dub_zero:(fun t ->
-                State.Incremental.dub eng t = Time_interval.Finite 0)
-              ~tokens:(State.Incremental.tokens eng)
-              (State.Incremental.fireable eng)
           in
-          let ordered = Priority.order_view options.policy model view fireable in
-          (* domains must be read before any child mutates the engine *)
-          let plans =
-            List.map
-              (fun tid -> (tid, State.Incremental.firing_domain eng tid))
-              ordered
-          in
-          let here = State.Incremental.depth eng in
-          let try_candidate (tid, domain) =
-            if not !budget_hit then
-              List.iter
-                (fun q ->
-                  if not !budget_hit then begin
-                    State.Incremental.fire eng tid q;
-                    let path_rev = eager_advance ((tid, q) :: path_rev) in
-                    dfs (depth + 1) path_rev;
-                    State.Incremental.undo_to eng here
-                  end)
-                (firing_times options model tid domain)
-          in
-          List.iter try_candidate plans;
-          counters.c_backtracks <- counters.c_backtracks + 1;
-          Packed_state.Table.replace failed key ()
+          (match Priority.order options.policy model s fireable with
+          | [] -> c.backtracks <- c.backtracks + 1
+          | ordered -> List.iter try_candidate ordered);
+          State.Table.replace failed s ()
         end
-      end
     end
   in
-  let outcome =
-    match
-      let path0 = eager_advance [] in
-      if is_final () then raise (Found path0);
-      dfs 0 path0
-    with
-    | () -> Error (if !budget_hit then Budget_exhausted else Infeasible)
-    | exception Found path_rev -> Ok (Schedule.of_actions (List.rev path_rev))
-  in
-  let st = Packed_state.Table.load_stats failed in
-  let bump name help v =
-    Ezrt_obs.Metrics.add
-      (Ezrt_obs.Metrics.counter ~help
-         ~labels:[ ("engine", "discrete-incremental") ]
-         name)
-      v
-  in
-  bump "ezrt_search_table_entries_total" "Failed-state memo entries"
-    st.Packed_state.entries;
-  bump "ezrt_search_table_collisions_total"
-    "Failed-state memo entries sharing a bucket" st.Packed_state.collisions;
-  outcome
-
-let no_cancel () = false
-
-let find_schedule ?(options = default_options) ?(cancel = no_cancel) model =
-  let started = Unix.gettimeofday () in
-  let engine =
-    if options.incremental then "discrete-incremental" else "discrete-copying"
-  in
+  let engine = "discrete-copying" in
   Ezrt_obs.Trace.begin_span ~cat:"search"
     ~args:
       [
@@ -365,27 +202,233 @@ let find_schedule ?(options = default_options) ?(cancel = no_cancel) model =
         ("policy", Ezrt_obs.Trace.Str (Priority.to_string options.policy));
       ]
     "search";
-  let counters =
-    { c_stored = 0; c_visited = 0; c_eager = 0; c_backtracks = 0;
-      c_max_depth = 0; c_por_reduced = 0; c_por_fallback = 0;
-      c_por_skipped = 0 }
-  in
   let outcome =
     Fun.protect
       ~finally:(fun () ->
         Ezrt_obs.Trace.end_span ~cat:"search"
-          ~args:
-            [
-              ("stored", Ezrt_obs.Trace.Int counters.c_stored);
-              ("visited", Ezrt_obs.Trace.Int counters.c_visited);
-            ]
+          ~args:[ ("stored", Ezrt_obs.Trace.Int c.stored) ]
           "search")
       (fun () ->
-        if options.incremental then
-          find_schedule_incremental ~options ~cancel model counters
-        else find_schedule_copying ~options ~cancel model counters)
+        match
+          let path0, s0 = eager_advance [] (State.initial net) in
+          if Translate.is_final model s0 then raise (Found path0);
+          dfs 0 path0 s0
+        with
+        | () -> Error (if !budget_hit then Budget_exhausted else Infeasible)
+        | exception Found path_rev ->
+          Ok (Schedule.of_actions (List.rev path_rev)))
   in
-  let elapsed_s = Unix.gettimeofday () -. started in
-  let metrics = metrics_of_counters counters elapsed_s in
+  let metrics = metrics_of_stats c (Unix.gettimeofday () -. started) in
   flush_metrics ~engine metrics;
   (outcome, metrics)
+
+(* --- the driver's discrete instance ---------------------------------- *)
+(* A node is an action list (the branching firing plus the eager
+   immediate chain discovered at first visit) and a parent pointer.
+   Every worker walks its own [State.Incremental] engine; moving from
+   the last expanded node to the next popped one is an undo to their
+   lowest common ancestor plus a replay of the actions on the downward
+   path — O(1) amortized for own-deque pops, O(depth) only after a
+   steal.
+
+   Pruning is shared: a node claims its packed state in one
+   [Packed_state.Sharded] table before expanding ([add] returning
+   [false] means some worker already owns that state — skip).  Claiming
+   at first visit keeps each distinct state expanded at most once
+   globally, which is what turns extra domains into speedup instead of
+   duplicated work; on one domain it prunes exactly what the copying
+   engine's memo of exhausted states prunes, since a state is only
+   revisited after its subtree is exhausted. *)
+
+type exploration = {
+  outcome : (Schedule.t, failure) result;
+  metrics : metrics;
+  domains_used : int;
+  steals : int;
+  shared_hits : int;
+  replayed_fires : int;
+  table : Packed_state.Sharded.stats;
+}
+
+type node = {
+  mutable actions : (Pnet.transition_id * int) list;
+      (* firings from the parent's state to this node's state; the
+         branch action, extended in place with the eager chain at
+         first visit (before any child is published) *)
+  parent : node;  (* [origin] points at itself *)
+  depth : int;  (* tree depth: origin = -1, root = 0 *)
+  mutable edepth : int;  (* engine depth at this node's state *)
+}
+
+let explore ?(options = default_options) ?domains ?(cancel = no_cancel) model
+    =
+  let started = Unix.gettimeofday () in
+  let domains =
+    match domains with Some d -> d | None -> Work_steal.default_domains ()
+  in
+  let engine =
+    if domains <= 1 then "discrete-incremental" else "discrete-parallel"
+  in
+  let net = model.Translate.net in
+  (* one immutable reduction context, shared read-only by all domains;
+     each worker applies it per-node against its own engine *)
+  let ind = por_context options model in
+  (* starts at the minimum stripe size and grows geometrically: a
+     search that stays small pays for a small table *)
+  let visited = Packed_state.Sharded.create () in
+  (* [origin] is every worker's initial position — engine at depth 0,
+     never expanded, never mutated.  The search root proper is a child
+     of it, so its eager extension (mutating [actions]/[edepth] at
+     first visit) never invalidates another worker's position
+     invariant [cur.edepth = engine depth]. *)
+  let rec origin = { actions = []; parent = origin; depth = -1; edepth = 0 } in
+  let root = { actions = []; parent = origin; depth = 0; edepth = 0 } in
+  let make_worker _id (w : Work_steal.stats) =
+    let eng = State.Incremental.create net in
+    let view = Priority.view_of_engine eng in
+    let is_final () =
+      State.Incremental.tokens eng model.Translate.final_place >= 1
+    in
+    let is_dead () =
+      List.exists
+        (fun pdm -> State.Incremental.tokens eng pdm > 0)
+        model.Translate.dead_places
+    in
+    (* current position: the last node whose state the engine is at *)
+    let cur = ref origin in
+    let rec lca a b chain =
+      if a == b then (a, chain)
+      else if a.depth > b.depth then lca a.parent b chain
+      else if b.depth > a.depth then lca a b.parent (b :: chain)
+      else lca a.parent b.parent (b :: chain)
+    in
+    let move_to target =
+      (* fast path: the spine — target is a child of the current
+         position, so it's a plain replay of its own actions *)
+      if target.parent == !cur then
+        List.iter
+          (fun (tid, q) -> State.Incremental.fire eng tid q)
+          target.actions
+      else begin
+        let anc, chain = lca !cur target [] in
+        State.Incremental.undo_to eng anc.edepth;
+        List.iter
+          (fun n ->
+            List.iter
+              (fun (tid, q) ->
+                State.Incremental.fire eng tid q;
+                if n != target then w.replayed <- w.replayed + 1)
+              n.actions)
+          chain
+      end;
+      cur := target
+    in
+    (* Collapse chains of forced immediate firings, extending the
+       node's action list in place; published to other workers only
+       via the deque mutexes, after this returns. *)
+    let rec eager_chain acc =
+      if options.partial_order && not (is_final () || is_dead ()) then
+        match State.Incremental.fireable eng with
+        | [ tid ] when is_immediate net tid ->
+          w.eager <- w.eager + 1;
+          State.Incremental.fire eng tid 0;
+          eager_chain ((tid, 0) :: acc)
+        | [] | _ :: _ -> acc
+      else acc
+    in
+    let visit node =
+      move_to node;
+      (match eager_chain [] with
+      | [] -> ()
+      | extra -> node.actions <- node.actions @ List.rev extra);
+      node.edepth <- State.Incremental.depth eng;
+      if is_final () then Work_steal.Goal
+      else if is_dead () then Work_steal.Dead_end
+      else if Packed_state.Sharded.add visited (Packed_state.of_engine eng)
+      then Work_steal.Fresh
+      else Work_steal.Claim_lost
+    in
+    let children node =
+      let fireable, por =
+        apply_por ~ind
+          ~urgent:(fun () ->
+            State.Incremental.min_dub eng = Time_interval.Finite 0)
+          ~enabled:(State.Incremental.is_enabled eng)
+          ~dub_zero:(fun t ->
+            State.Incremental.dub eng t = Time_interval.Finite 0)
+          ~tokens:(State.Incremental.tokens eng)
+          (State.Incremental.fireable eng)
+      in
+      Work_steal.count_por w ~por:options.por por;
+      let ordered = Priority.order_view options.policy model view fireable in
+      (* Children are built in one pass with no intermediate lists.
+         The engine is not mutated while publishing, so firing domains
+         can be read inline.  The first candidate is kept in hand; the
+         rest accumulate in reverse, which is exactly push order: the
+         deque top ends up holding the second candidate, preserving
+         sequential order for a lone worker. *)
+      let first = ref None in
+      let rev_rest = ref [] in
+      List.iter
+        (fun tid ->
+          let domain = State.Incremental.firing_domain eng tid in
+          List.iter
+            (fun q ->
+              let child =
+                {
+                  actions = [ (tid, q) ];
+                  parent = node;
+                  depth = node.depth + 1;
+                  edepth = node.edepth + 1;
+                }
+              in
+              match !first with
+              | None -> first := Some child
+              | Some _ -> rev_rest := child :: !rev_rest)
+            (firing_times options model tid domain))
+        ordered;
+      match !first with
+      | None -> Work_steal.Leaf
+      | Some f -> Work_steal.Children (f, !rev_rest)
+    in
+    { Work_steal.visit; children }
+  in
+  let r =
+    Work_steal.run ~domains ~engine
+      ~span_args:
+        [ ("policy", Ezrt_obs.Trace.Str (Priority.to_string options.policy)) ]
+      ~worker_span:"par-worker" ~cancel ~max_stored:options.max_stored
+      ~depth:(fun n -> n.depth) ~root make_worker
+  in
+  let s = r.Work_steal.stats in
+  let metrics = metrics_of_stats s (Unix.gettimeofday () -. started) in
+  let table = Packed_state.Sharded.stats visited in
+  let outcome =
+    match r.Work_steal.outcome with
+    | Work_steal.Found node ->
+      let rec path n acc =
+        if n == origin then acc else path n.parent (n.actions @ acc)
+      in
+      Ok (Schedule.of_actions (path node []))
+    | Work_steal.Stopped -> Error Budget_exhausted
+    | Work_steal.Exhausted -> Error Infeasible
+  in
+  flush_metrics ~engine metrics;
+  Work_steal.flush_metrics ~engine
+    ~table_entries:table.Packed_state.Sharded.entries
+    ~table_contended:table.Packed_state.Sharded.contended r;
+  {
+    outcome;
+    metrics;
+    domains_used = r.Work_steal.domains_used;
+    steals = s.steals;
+    shared_hits = s.shared_hits;
+    replayed_fires = s.replayed;
+    table;
+  }
+
+let find_schedule ?(options = default_options) ?(cancel = no_cancel) model =
+  if options.incremental then
+    let r = explore ~options ~domains:1 ~cancel model in
+    (r.outcome, r.metrics)
+  else find_schedule_copying ~options ~cancel model

@@ -1,17 +1,17 @@
 (** Pre-runtime schedule synthesis (paper §4.4.1): a depth-first search
     over the TLTS of the translated net, stopping at the desired final
     marking [MF], with partial-order reduction of deterministic
-    immediate firings and memoization of failed states.
+    immediate firings, never expanding a state twice.
 
     Two interchangeable engines implement the same search:
 
-    - the {e incremental} engine (default) walks one mutable
-      {!Ezrt_tpn.State.Incremental} state push/pop, firing in O(arcs)
-      instead of O(|T|·|F|), and memoizes failed states as packed byte
-      strings ({!Ezrt_tpn.Packed_state}) with memoized hashes;
-    - the {e copying} engine is the original immutable-state
-      implementation, kept as the semantic oracle and benchmark
-      baseline.
+    - the {e incremental} engine (default) is the discrete instance of
+      the {!Work_steal} driver ({!explore}) on one domain: it walks a
+      mutable {!Ezrt_tpn.State.Incremental} state, firing in O(arcs)
+      instead of O(|T|·|F|), and claims each state at first visit in a
+      table of packed byte strings ({!Ezrt_tpn.Packed_state});
+    - the {e copying} engine is the original immutable-state recursive
+      DFS, kept as the semantic oracle and benchmark baseline.
 
     Both explore candidates in exactly the same order and produce
     action-for-action identical schedules and identical metrics. *)
@@ -28,9 +28,8 @@ type options = {
           default false (the paper's search is work-conserving) *)
   max_stored : int;  (** stored-state budget; default 500_000 *)
   incremental : bool;
-      (** use the incremental engine with the packed failed-state
-          store; default true.  [false] selects the copy-based
-          reference engine. *)
+      (** use the incremental engine (the one-domain driver); default
+          true.  [false] selects the copy-based reference engine. *)
   por : bool;
       (** stubborn-set partial-order reduction ({!Ezrt_tpn.Indep}):
           at urgent states, expand only a dependency-closed subset of
@@ -61,16 +60,17 @@ val firing_times :
   int list
 (** Firing times to branch on within a firing domain: the earliest
     always, plus the latest of release windows under
-    [latest_release].  Shared by the sequential engines and
-    {!Par_search} so all explore the same choice space. *)
+    [latest_release].  Shared by both engines so they explore the
+    same choice space. *)
 
 type metrics = {
   stored : int;
       (** search nodes examined — the paper's "states searched" *)
   visited : int;  (** stored plus eagerly fired intermediate states *)
   eager : int;  (** states skipped by the partial-order reduction *)
-  backtracks : int;  (** stored nodes whose subtree was exhausted *)
-  max_depth : int;
+  backtracks : int;
+      (** dead ends plus stored nodes with no candidate to fire *)
+  max_depth : int;  (** deepest node reached, the root being depth 0 *)
   elapsed_s : float;
   por_reduced : int;
       (** expanded states where the stubborn set pruned ≥ 1 candidate *)
@@ -96,11 +96,6 @@ val por_context : options -> Ezrt_blocks.Translate.t -> Ezrt_tpn.Indep.t option
     {!Ezrt_tpn.Indep.applicable}.  Shared by every engine so the
     reduction is gated identically everywhere. *)
 
-type por_outcome =
-  | Por_reduced  (** the stubborn set pruned at least one candidate *)
-  | Por_fallback  (** urgent state, but no sound strict reduction *)
-  | Por_skipped  (** gate not met: non-urgent state or no context *)
-
 val apply_por :
   ind:Ezrt_tpn.Indep.t option ->
   urgent:(unit -> bool) ->
@@ -108,7 +103,7 @@ val apply_por :
   dub_zero:(Ezrt_tpn.Pnet.transition_id -> bool) ->
   tokens:(Ezrt_tpn.Pnet.place_id -> int) ->
   Ezrt_tpn.Pnet.transition_id list ->
-  Ezrt_tpn.Pnet.transition_id list * por_outcome
+  Ezrt_tpn.Pnet.transition_id list * Work_steal.por_outcome
 (** One expansion through the reduction gate: probes are only called
     when [ind] is [Some] and [urgent ()] holds ([dub_zero] only on
     enabled transitions).  Returns the (possibly reduced) expansion
@@ -127,4 +122,38 @@ val find_schedule :
     [cancel] is polled at every search node (default: never).  When it
     returns [true] the search unwinds and reports
     {!Budget_exhausted} — the hook the parallel portfolio uses to stop
-    losing configurations. *)
+    losing configurations.  The incremental engine is
+    [explore ~domains:1]. *)
+
+type exploration = {
+  outcome : (Schedule.t, failure) result;
+  metrics : metrics;
+      (** aggregated over workers; [stored] counts successful claims *)
+  domains_used : int;
+      (** workers that expanded, skipped, or stole at least once *)
+  steals : int;
+  shared_hits : int;
+      (** expansions skipped because the state was already claimed in
+          the shared table — re-convergent paths of the TLTS plus
+          states claimed first by another domain *)
+  replayed_fires : int;
+      (** firings replayed while repositioning after pops and steals *)
+  table : Ezrt_tpn.Packed_state.Sharded.stats;
+}
+
+val explore :
+  ?options:options ->
+  ?domains:int ->
+  ?cancel:(unit -> bool) ->
+  Ezrt_blocks.Translate.t ->
+  exploration
+(** The discrete instance of the {!Work_steal} driver: [domains]
+    workers (default {!Work_steal.default_domains}) each walk their own
+    {!Ezrt_tpn.State.Incremental} engine and claim states in one shared
+    {!Ezrt_tpn.Packed_state.Sharded} table.  [options.incremental] is
+    ignored.  With one domain the run is {!find_schedule}'s incremental
+    engine and reports under the [discrete-incremental] label; with
+    more it reports under [discrete-parallel], and only the verdict is
+    deterministic — the specific schedule depends on the race.
+    [cancel] is polled by worker 0 and stops every domain, reporting
+    [Budget_exhausted]. *)

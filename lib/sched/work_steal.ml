@@ -1,4 +1,6 @@
-(* Work-stealing parallel DFS driver, generic over the search node.
+(* Work-stealing DFS driver, generic over the search node: the one
+   depth-first search of both state spaces, run on one domain by the
+   sequential entry points and on N by the parallel ones.
 
    N domains expand disjoint subtrees of one search tree from a shared
    frontier.  Each worker owns a [Deque] of unexpanded nodes: it pushes
@@ -37,12 +39,14 @@ let zero_stats () =
     shared_hits = 0; replayed = 0; por_reduced = 0; por_fallback = 0;
     por_skipped = 0 }
 
-let count_por w ~por = function
-  | Search.Por_reduced -> w.por_reduced <- w.por_reduced + 1
-  | Search.Por_fallback -> w.por_fallback <- w.por_fallback + 1
-  | Search.Por_skipped -> if por then w.por_skipped <- w.por_skipped + 1
+type por_outcome = Por_reduced | Por_fallback | Por_skipped
 
-type visit = Goal | Dead_end | Claim_lost | Fresh
+let count_por w ~por = function
+  | Por_reduced -> w.por_reduced <- w.por_reduced + 1
+  | Por_fallback -> w.por_fallback <- w.por_fallback + 1
+  | Por_skipped -> if por then w.por_skipped <- w.por_skipped + 1
+
+type visit = Goal | Dead_end | Claim_lost | Fresh | Cancelled
 
 type 'node children = Leaf | Children of 'node * 'node list
 
@@ -118,6 +122,9 @@ let run ?domains ~engine ~span_args ~worker_span ~cancel ~max_stored ~depth
         | Claim_lost ->
           w.shared_hits <- w.shared_hits + 1;
           None
+        | Cancelled ->
+          Atomic.set stop true;
+          None
         | Fresh ->
           if Atomic.fetch_and_add stored_total 1 >= max_stored then begin
             Atomic.set stop true;
@@ -188,28 +195,29 @@ let run ?domains ~engine ~span_args ~worker_span ~cancel ~max_stored ~depth
     in
     let rec loop in_hand idle =
       if not (Atomic.get stop) then begin
-        if id = 0 && cancel () then Atomic.set stop true;
-        match (match in_hand with None -> pop () | Some _ -> in_hand) with
-        | Some node ->
-          if not !helpers_spawned then begin
-            Hashtbl.replace entered (depth node) w.stored;
-            if !worth_a_steal && Deque.length deque >= n_workers - 1 then
-              spawn_helpers ()
-          end;
-          let next = expand node in
-          if opportunistic && (decr burst; !burst <= 0) then
-            (* hand the unfinished spine back for the survivors *)
-            Option.iter (Deque.push_top deque) next
-          else loop next 0
-        | None ->
-          if n_workers > 1 && try_steal 1 then loop None 0
-          else if Atomic.get pending > 0 then begin
-            (* back off instead of spinning: on few cores the worker
-               holding the work needs the cycles, and a sleeping domain
-               also cooperates with stop-the-world collections *)
-            if idle = 0 then Domain.cpu_relax () else Unix.sleepf 0.0002;
-            if not (opportunistic && idle >= 8) then loop None (idle + 1)
-          end
+        if id = 0 && cancel () then Atomic.set stop true
+        else
+          match (match in_hand with None -> pop () | Some _ -> in_hand) with
+          | Some node ->
+            if not !helpers_spawned then begin
+              Hashtbl.replace entered (depth node) w.stored;
+              if !worth_a_steal && Deque.length deque >= n_workers - 1 then
+                spawn_helpers ()
+            end;
+            let next = expand node in
+            if opportunistic && (decr burst; !burst <= 0) then
+              (* hand the unfinished spine back for the survivors *)
+              Option.iter (Deque.push_top deque) next
+            else loop next 0
+          | None ->
+            if n_workers > 1 && try_steal 1 then loop None 0
+            else if Atomic.get pending > 0 then begin
+              (* back off instead of spinning: on few cores the worker
+                 holding the work needs the cycles, and a sleeping domain
+                 also cooperates with stop-the-world collections *)
+              if idle = 0 then Domain.cpu_relax () else Unix.sleepf 0.0002;
+              if not (opportunistic && idle >= 8) then loop None (idle + 1)
+            end
       end
     in
     loop None 0;

@@ -1,5 +1,7 @@
-(** Work-stealing parallel DFS driver shared by {!Par_search} and
-    {!Par_class}.
+(** Work-stealing DFS driver: the one depth-first search over the
+    discrete TLTS ({!Search}) and the state-class graph
+    ({!Class_search}), run with one domain by their [find_schedule] and
+    with N by {!Search.explore} and {!Class_search.explore}.
 
     One search tree, N OCaml 5 domains expanding disjoint subtrees
     from a shared frontier.  Each worker owns a {!Deque} of unexpanded
@@ -26,9 +28,21 @@ type stats = {
 (** Per-worker counters.  The driver bumps [stored], [backtracks],
     [max_depth], [steals] and [shared_hits]; the engine bumps [eager],
     [replayed] and the POR triple.  Visited states are
-    [stored + eager]. *)
+    [stored + eager]; [backtracks] counts dead ends plus claimed nodes
+    with no candidate. *)
 
-val count_por : stats -> por:bool -> Search.por_outcome -> unit
+val zero_stats : unit -> stats
+(** All counters at zero; the copying oracle ({!Search}) counts in one
+    too, so both report with the same vocabulary. *)
+
+type por_outcome =
+  | Por_reduced  (** the stubborn set pruned at least one candidate *)
+  | Por_fallback  (** urgent state, but no sound strict reduction *)
+  | Por_skipped  (** gate not met: non-urgent state or no context *)
+(** What the stubborn-set gate did at one expansion
+    ({!Search.apply_por}). *)
+
+val count_por : stats -> por:bool -> por_outcome -> unit
 (** Bumps the POR counter for one expansion; [Por_skipped] counts only
     when the reduction is switched on. *)
 
@@ -37,6 +51,9 @@ type visit =
   | Dead_end  (** a dead state: counted as a backtrack *)
   | Claim_lost  (** some worker or path already owns the state *)
   | Fresh  (** claimed: the driver charges the budget, then expands *)
+  | Cancelled
+      (** the engine saw its cancellation hook mid-visit: every worker
+          stops, as when worker 0's own poll fires *)
 
 type 'node children =
   | Leaf  (** no candidate: counted as a backtrack *)
@@ -87,8 +104,8 @@ val run :
     [max_stored] claim budget stop every worker.  The whole run is one
     ["search"] trace span tagged [engine], [span_args] and the domain
     count; each worker runs inside one span named [worker_span].
-    [depth] is the node's tree depth, used for [max_depth] and the
-    steal policy.
+    [depth] is the node's tree depth, [0] at the root in every engine,
+    used for [max_depth] and the steal policy.
 
     Steal policy, read off worker 0's own DFS with no setting: worker
     0 spawns the helpers only once it has backtracked out of a subtree

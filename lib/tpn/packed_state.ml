@@ -1,4 +1,4 @@
-(* Packed TLTS states for the search's memo tables.
+(* Packed TLTS states for the search's visited table.
 
    A boxed [State.t] costs two int arrays plus a record — roughly
    8 bytes per cell plus three headers — and hashing it walks boxed
@@ -6,7 +6,7 @@
    [Bytes.t] of fixed-width little-endian cells (the narrowest of
    16/32/64 bits that fits every cell, chosen per state so equal states
    encode identically) with the full-width Zobrist hash memoized next
-   to it.  A 500k-entry failed-state table shrinks by ~4x and lookups
+   to it.  A 500k-entry visited table shrinks by ~4x and lookups
    reduce to a stored-int compare plus [Bytes.equal].
 
    [of_engine] takes the incremental engine's maintained Zobrist word
@@ -99,43 +99,6 @@ let equal a b = a.hash = b.hash && Bytes.equal a.data b.data
 let hash p = p.hash
 let byte_size p = Bytes.length p.data
 
-type table_stats = {
-  entries : int;
-  buckets : int;
-  load : float;
-  collisions : int;
-  max_bucket : int;
-}
-
-module Table = struct
-  include Hashtbl.Make (struct
-    type nonrec t = t
-
-    let equal = equal
-    let hash = hash
-  end)
-
-  let load_stats t =
-    let s = stats t in
-    let nonempty =
-      let n = ref 0 in
-      Array.iteri
-        (fun len count -> if len > 0 then n := !n + count)
-        s.Hashtbl.bucket_histogram;
-      !n
-    in
-    {
-      entries = s.Hashtbl.num_bindings;
-      buckets = s.Hashtbl.num_buckets;
-      load =
-        (if s.Hashtbl.num_buckets = 0 then 0.
-         else float_of_int s.Hashtbl.num_bindings
-              /. float_of_int s.Hashtbl.num_buckets);
-      collisions = s.Hashtbl.num_bindings - nonempty;
-      max_bucket = s.Hashtbl.max_bucket_length;
-    }
-end
-
 (* ------------------------------------------------------------------ *)
 (* Lock-striped concurrent set of packed states.
 
@@ -178,13 +141,13 @@ module Sharded = struct
     let rec go p = if p >= n then p else go (p * 2) in
     go 1
 
-  let create ?(stripes = 64) ?(expected = 4096) () =
+  let create ?(stripes = 64) () =
     let n_stripes = next_pow2 (max 1 stripes) in
     let shift =
       let rec bits p acc = if p <= 1 then acc else bits (p / 2) (acc + 1) in
       bits n_stripes 0
     in
-    let per_stripe = next_pow2 (max 16 (2 * expected / n_stripes)) in
+    let per_stripe = 16 in
     {
       stripes =
         Array.init n_stripes (fun _ ->

@@ -1,6 +1,6 @@
 (** Packed TLTS states: a state serialized into a compact [Bytes.t]
     with its full-width Zobrist hash memoized, for the search's large
-    memo tables.  The encoding picks the narrowest cell width (16, 32
+    visited table.  The encoding picks the narrowest cell width (16, 32
     or 64-bit little-endian) that fits every marking/clock cell of the
     state, so equal states always encode to equal bytes, and the hash
     agrees with {!State.hash} on the same logical state. *)
@@ -39,24 +39,8 @@ val hash : t -> int
 
 val byte_size : t -> int
 
-type table_stats = {
-  entries : int;
-  buckets : int;
-  load : float;  (** entries / buckets *)
-  collisions : int;  (** entries sharing a bucket with an earlier one *)
-  max_bucket : int;
-}
-
-(** Hash tables keyed by packed states, plus occupancy introspection
-    for the metrics flush at the end of a search. *)
-module Table : sig
-  include Hashtbl.S with type key = t
-
-  val load_stats : 'a t -> table_stats
-end
-
-(** Lock-striped concurrent set of packed states — the parallel
-    search's shared visited table.  2^k stripes selected by the low
+(** Lock-striped concurrent set of packed states — the discrete
+    search's visited table, shared by every worker domain.  2^k stripes selected by the low
     hash bits, each an independently-locked open-addressed table
     (linear probing, grown at ~3/4 load), so all operations on one key
     serialize through one mutex: the set is linearizable, and
@@ -73,9 +57,9 @@ module Sharded : sig
     contended : int;  (** [Mutex.try_lock] misses across all ops *)
   }
 
-  val create : ?stripes:int -> ?expected:int -> unit -> table
-  (** [stripes] (default 64) is rounded up to a power of two;
-      [expected] pre-sizes the stripes for that many total entries. *)
+  val create : ?stripes:int -> unit -> table
+  (** [stripes] (default 64) is rounded up to a power of two; each
+      stripe starts at 16 slots and grows on demand. *)
 
   val add : table -> t -> bool
   (** [add t k] inserts [k]; [true] iff [k] was not already present —

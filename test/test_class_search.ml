@@ -171,6 +171,49 @@ let test_cancel_is_prompt () =
     Alcotest.failf "wrong failure: %s" (Class_search.failure_to_string f)
   | Ok _, _ -> Alcotest.fail "cancelled search cannot succeed"
 
+(* The one-domain class search, pinned case by case: stored classes,
+   eager firings, backtracks (dead ends plus classes with no
+   candidate), maximum depth, schedule length and an MD5 of the
+   schedule's [tid@time] actions.  Stored, eager, depth and schedules
+   are those of the former sequential class DFS; the work-stealing
+   parallel engine has no other single-domain reference. *)
+let pinned =
+  [
+    ("mine-pump", 1335, 3527, 78, 1320, 4694, "38cb0fa206a1753854d0febba1615c37");
+    ("flight-control", 719, 369, 95, 134, 299, "eae1eb46846e6a2033eb45feb76e67ca");
+    ("fig3", 3, 12, 0, 3, 15, "679813700cb8d9b51d77caa4a65dee9f");
+    ("fig4", 5, 67, 0, 5, 72, "132a058df831007d91a05c014b6f0898");
+    ("fig8", 204, 508, 128, 39, 84, "d0bac63dc8464c4d47e331e1a04a4fa6");
+    ("quickstart", 4, 18, 0, 4, 22, "2ac44fe0fcc8928eeda7cd4f8b5a1243");
+    ("greedy-trap", 4, 28, 3, 4, 14, "0e78db53d2ec2d9c5f95745ccb960954");
+  ]
+
+let check_pinned name (outcome, (m : Class_search.metrics)) =
+  let _, stored, eager, backtracks, max_depth, length, digest =
+    List.find (fun (n, _, _, _, _, _, _) -> n = name) pinned
+  in
+  check_int (name ^ " stored") stored m.Class_search.stored;
+  check_int (name ^ " eager") eager m.Class_search.eager;
+  check_int (name ^ " backtracks") backtracks m.Class_search.backtracks;
+  check_int (name ^ " max_depth") max_depth m.Class_search.max_depth;
+  match outcome with
+  | Ok s ->
+    check_int (name ^ " schedule length") length (Schedule.length s);
+    check_string (name ^ " schedule digest") digest
+      (Digest.to_hex
+         (Digest.string
+            (String.concat ";"
+               (List.map
+                  (fun e -> Printf.sprintf "%d@%d" e.Schedule.tid e.Schedule.time)
+                  s.Schedule.entries))))
+  | Error f -> Alcotest.failf "%s: %s" name (Class_search.failure_to_string f)
+
+let test_pinned_case_studies () =
+  List.iter
+    (fun (name, spec) ->
+      check_pinned name (Class_search.find_schedule (Translate.translate spec)))
+    Case_studies.all
+
 let test_subsumption_applicability () =
   (* the translation's priority discipline satisfies the static
      soundness conditions on every case study *)
@@ -203,6 +246,8 @@ let suite =
     case "deterministic metrics and schedules" test_determinism;
     case "subsume off matches on" test_subsume_off_matches_on;
     case "cancel stops at the first class" test_cancel_is_prompt;
+    slow_case "case studies keep their pinned counts and schedules"
+      test_pinned_case_studies;
     case "subsumption statically applicable" test_subsumption_applicability;
     prop_class_schedules_certify;
     prop_discrete_implies_class;

@@ -116,6 +116,19 @@ let test_smoke_campaign_clean () =
   check_bool "verdicts on both sides" true
     (stats.Fuzz.feasible > 0 && stats.Fuzz.infeasible > 0)
 
+(* Without the classes row the tally still counts every schedule any
+   row found; with no complete row left, nothing is proved infeasible. *)
+let test_campaign_tally_without_classes () =
+  let stats =
+    Fuzz.run ~profile:Spec_gen.smoke ~shrink:false
+      ~engines:[ "parallel"; "reference"; "incremental" ] ~seed:42 ~count:20 ()
+  in
+  check_int "no divergences" 0 (List.length stats.Fuzz.divergent);
+  check_bool "some specs tallied feasible" true (stats.Fuzz.feasible > 0);
+  check_int "no complete row, no infeasible proof" 0 stats.Fuzz.infeasible;
+  check_int "every spec tallied" 20
+    (stats.Fuzz.feasible + stats.Fuzz.infeasible + stats.Fuzz.unknown)
+
 let test_campaign_deterministic () =
   let run () =
     let s = Fuzz.run ~profile:Spec_gen.smoke ~shrink:false ~seed:4 ~count:25 () in
@@ -264,6 +277,8 @@ let suite =
     slow_case "no divergence on case studies" test_no_divergence_on_case_studies;
     slow_case "smoke campaign clean" test_smoke_campaign_clean;
     slow_case "campaign deterministic" test_campaign_deterministic;
+    slow_case "campaign tally without the classes row"
+      test_campaign_tally_without_classes;
     slow_case "injected bug caught and shrunk" test_injected_bug_caught_and_shrunk;
     case "uncertified schedule caught" test_uncertified_schedule_caught;
     case "shrink minimal on synthetic predicate"

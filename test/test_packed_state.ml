@@ -161,7 +161,7 @@ let prop_sharded_linearizable =
         List.iter (fun k -> Hashtbl.replace h k.Packed_state.data ()) keys;
         Hashtbl.length h
       in
-      let table = Packed_state.Sharded.create ~stripes:8 ~expected:16 () in
+      let table = Packed_state.Sharded.create ~stripes:8 () in
       let shares = Array.make 4 [] in
       List.iteri (fun i k -> shares.(i mod 4) <- k :: shares.(i mod 4)) ops;
       let claims =
@@ -180,7 +180,7 @@ let prop_sharded_linearizable =
       && List.for_all (fun k -> Packed_state.Sharded.mem table k) keys)
 
 let test_sharded_stats () =
-  let table = Packed_state.Sharded.create ~stripes:4 ~expected:8 () in
+  let table = Packed_state.Sharded.create ~stripes:4 () in
   let keys =
     List.init 100 (fun i -> pack_cells ~n_places:1 [| i; i * 7; i mod 3 |])
   in

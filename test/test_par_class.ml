@@ -9,13 +9,14 @@ open Test_util
 
 let test_single_domain_matches_sequential () =
   (* one worker owns one LIFO deque: the expansion order is exactly the
-     sequential engine's, so outcomes are structurally identical *)
+     sequential DFS's, so outcomes and counters are the ones pinned for
+     the sequential class search *)
   List.iter
     (fun (name, spec) ->
-      let model = Translate.translate spec in
-      let seq = fst (Class_search.find_schedule model) in
-      let par = (Par_class.find_schedule ~domains:1 model).Par_class.outcome in
-      check_bool (name ^ " identical outcome") true (seq = par))
+      let r = Par_class.find_schedule ~domains:1 (Translate.translate spec) in
+      Test_class_search.check_pinned name (r.Par_class.outcome, r.Par_class.metrics);
+      check_int (name ^ " one domain") 1 r.Par_class.domains_used;
+      check_int (name ^ " no steals") 0 r.Par_class.steals)
     Case_studies.all
 
 let test_two_domains_agree_and_certify () =

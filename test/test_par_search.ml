@@ -37,13 +37,17 @@ let test_case_studies_certify () =
       | Error f -> Alcotest.failf "%s: %s" name (Search.failure_to_string f))
     Case_studies.all
 
-(* The one-domain run takes the exact sequential path: same schedule,
-   same node counts, and it must be stable across runs. *)
+(* The one-domain run takes the exact path of the sequential copying
+   engine (the differential oracle): same schedule, same node counts. *)
 let test_one_domain_matches_sequential () =
   List.iter
     (fun (name, spec) ->
       let model = Translate.translate spec in
-      let seq_outcome, seq_m = Search.find_schedule model in
+      let seq_outcome, seq_m =
+        Search.find_schedule
+          ~options:{ Search.default_options with incremental = false }
+          model
+      in
       let par = Par_search.find_schedule ~domains:1 model in
       (match (seq_outcome, par.Par_search.outcome) with
       | Ok a, Ok b ->

@@ -132,8 +132,36 @@ let prop_found_schedules_certify =
       | _, Error Search.Infeasible, _ -> true
       | _, Error Search.Budget_exhausted, _ -> true)
 
+(* The fixed cost every search pays whatever its size: quickstart
+   stores a handful of states, so what one search allocates is mostly
+   setup — the visited table, the deques, the reduction context.  A
+   visited table pre-sized from the 500 000-state budget allocated
+   512 KiB on its own. *)
+let test_fixed_cost () =
+  let model = Translate.translate Case_studies.quickstart in
+  (* the first run registers the metric series *)
+  ignore (Search.find_schedule model);
+  let before = Gc.allocated_bytes () in
+  ignore (Search.find_schedule model);
+  let bytes = Gc.allocated_bytes () -. before in
+  check_bool
+    (Printf.sprintf "%.0f bytes allocated, under 64 KiB" bytes)
+    true (bytes < 64. *. 1024.)
+
+(* A cancel that is already set stops the search before its first
+   node: nothing is claimed, not even the root. *)
+let test_cancel_is_prompt () =
+  let model = Translate.translate Case_studies.mine_pump in
+  match Search.find_schedule ~cancel:(fun () -> true) model with
+  | Error Search.Budget_exhausted, m ->
+    check_int "nothing stored" 0 m.Search.stored
+  | Error f, _ -> Alcotest.failf "wrong failure: %s" (Search.failure_to_string f)
+  | Ok _, _ -> Alcotest.fail "cancelled search cannot succeed"
+
 let suite =
   [
+    case "fixed cost of a small search" test_fixed_cost;
+    case "cancel stops before the first node" test_cancel_is_prompt;
     case "case studies are schedulable" test_case_studies_feasible;
     slow_case "mine pump statistics match the paper's regime"
       test_mine_pump_statistics;

@@ -246,9 +246,10 @@ let test_packed_smaller () =
         (Packed_state.byte_size packed < cells * 8))
     Case_studies.all
 
-(* The acceptance bar for the engine swap: both search engines produce
-   action-for-action identical schedules and identical node counts on
-   every case study. *)
+(* The acceptance bar for the engine swap: the copying oracle and the
+   one-domain driver produce action-for-action identical schedules and
+   identical counters on every case study and on the first specs of
+   the seed-42 fuzz campaign. *)
 let test_search_parity () =
   List.iter
     (fun (name, spec) ->
@@ -277,7 +278,9 @@ let test_search_parity () =
         incr_m.Search.backtracks;
       check_int (name ^ " max_depth") copy_m.Search.max_depth
         incr_m.Search.max_depth)
-    Case_studies.all
+    (Case_studies.all
+    @ List.init 40 (fun i ->
+          (Printf.sprintf "seed-42 spec %d" i, Ezrt_gen.Spec_gen.spec_at ~seed:42 i)))
 
 (* Zobrist maintenance: along a random walk, [zhash] must equal the
    from-scratch [State.hash] at every prefix, and unwinding with

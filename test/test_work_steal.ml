@@ -55,15 +55,19 @@ let dive =
 let root = { id = 0; depth = 0 }
 
 (* Runs the driver; returns the result, the number of [children] calls
-   per state and the number of workers started. *)
-let search ?domains ?(cancel = fun () -> false) ?(max_stored = max_int) tree =
+   per state and the number of workers started.  [cancel_at] is an
+   engine-side cancellation: the visit of a matching node reports
+   [Cancelled]. *)
+let search ?domains ?(cancel = fun () -> false) ?(cancel_at = fun _ -> false)
+    ?(max_stored = max_int) tree =
   let claimed = Array.init tree.states (fun _ -> Atomic.make false) in
   let expansions = Array.init tree.states (fun _ -> Atomic.make 0) in
   let started = Atomic.make 0 in
   let make_worker _id _stats =
     Atomic.incr started;
     let visit n =
-      if tree.goal n then Work_steal.Goal
+      if cancel_at n then Work_steal.Cancelled
+      else if tree.goal n then Work_steal.Goal
       else if tree.dead n then Work_steal.Dead_end
       else if Atomic.compare_and_set claimed.(tree.state n) false true then
         Work_steal.Fresh
@@ -165,6 +169,9 @@ let test_cancel_and_budget_stop_every_worker () =
          stopped *)
       let r, _, _ = search ~domains ~cancel (bushy ()) in
       check_bool (label ^ " cancelled is stopped") true
+        (r.Work_steal.outcome = Work_steal.Stopped);
+      let r, _, _ = search ~domains ~cancel_at:(fun n -> n.depth = 10) (bushy ()) in
+      check_bool (label ^ " cancelled mid-visit is stopped") true
         (r.Work_steal.outcome = Work_steal.Stopped);
       let r, _, _ = search ~domains ~max_stored:40 (bushy ()) in
       check_bool (label ^ " budget is stopped") true
